@@ -16,6 +16,7 @@
 #include <thread>
 
 #include "common/json.hpp"
+#include "obs/exposition.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace.hpp"
 #include "serve/request.hpp"
@@ -109,6 +110,17 @@ std::string entry_json(const serve::ModelEntryStats& s) {
         .str();
 }
 
+/// The single-model constructor's guard: the model the legacy control
+/// commands publish to must be the one the router's workers serve.
+std::shared_ptr<serve::ModelRouter> require_default_model(
+    std::shared_ptr<serve::ModelRouter> router,
+    const std::shared_ptr<const runtime::CompiledModel>& model) {
+    if (router && model != router->default_model())
+        throw std::invalid_argument(
+            "netd: model is not the router's default model");
+    return router;
+}
+
 /// True when `tok` belongs to the legacy default-model grammar (`load
 /// <version>|latest`): model names must start with a letter and "latest"
 /// is reserved, so the two command forms never collide.
@@ -129,30 +141,6 @@ Daemon::Daemon(std::shared_ptr<serve::ModelRouter> router,
       options_(std::move(options)),
       registry_(std::move(registry)) {
     if (!router_) throw std::invalid_argument("netd: null router");
-    model_ = router_->default_model();
-    validate_config();
-    if (options_.metrics)
-        options_.metrics->add_collector(
-            [this](std::string& out) { collect_metrics(out); });
-}
-
-Daemon::Daemon(std::shared_ptr<serve::Server> server,
-               std::shared_ptr<const runtime::CompiledModel> model,
-               DaemonOptions options,
-               std::shared_ptr<online::ModelRegistry> registry)
-    : router_(server ? server->router() : nullptr),
-      model_(std::move(model)),
-      options_(std::move(options)),
-      registry_(std::move(registry)) {
-    if (!router_) throw std::invalid_argument("netd: null server");
-    if (!model_) throw std::invalid_argument("netd: null model");
-    validate_config();
-    if (options_.metrics)
-        options_.metrics->add_collector(
-            [this](std::string& out) { collect_metrics(out); });
-}
-
-void Daemon::validate_config() const {
     if (router_->options().backpressure != serve::Backpressure::Shed)
         throw std::invalid_argument(
             "netd: the daemon requires Backpressure::Shed — Block would "
@@ -160,6 +148,13 @@ void Daemon::validate_config() const {
     if (options_.data_path.empty() && options_.tcp_port == 0)
         throw std::invalid_argument("netd: no data listener configured");
 }
+
+Daemon::Daemon(std::shared_ptr<serve::ModelRouter> router,
+               const std::shared_ptr<const runtime::CompiledModel>& model,
+               DaemonOptions options,
+               std::shared_ptr<online::ModelRegistry> registry)
+    : Daemon(require_default_model(std::move(router), model),
+             std::move(options), std::move(registry)) {}
 
 Daemon::~Daemon() {
     // Worker completion callbacks hold ConnPtrs plus `this` (dirty list,
@@ -551,6 +546,8 @@ std::string Daemon::run_control_command(const std::string& line) {
     std::istringstream in(line);
     std::string cmd, arg, arg2, arg3;
     in >> cmd >> arg >> arg2 >> arg3;
+    // The default model: target of the legacy weight-publication commands.
+    const runtime::CompiledModel& model = *router_->default_model();
 
     try {
         if (cmd == "ping") return "ok pong";
@@ -561,16 +558,15 @@ std::string Daemon::run_control_command(const std::string& line) {
             return "ok " + stats_json();
         }
         if (cmd == "version")
-            return "ok " + std::to_string(model_->published_version());
+            return "ok " + std::to_string(model.published_version());
         if (cmd == "models") return "ok " + models_json();
         if (cmd == "metrics") {
             // The one multi-line control reply: Prometheus text whose last
             // line is the "# EOF" terminator clients read up to (the
             // trailing newline comes from handle_control_line).
-            if (!options_.metrics) return "err no metrics registry";
-            std::string text = options_.metrics->expose();
-            while (!text.empty() && text.back() == '\n') text.pop_back();
-            return text;
+            std::string text;
+            collect_metrics(text);
+            return text + "# EOF";
         }
         if (cmd == "events") {
             const obs::FlightRecorder* rec = router_->options().recorder;
@@ -617,7 +613,7 @@ std::string Daemon::run_control_command(const std::string& line) {
             }
             // Legacy form: back to the compiled-in initial weights;
             // sessions pick the image up at their next refresh().
-            model_->publish_weights(model_->initial_weights());
+            model.publish_weights(model.initial_weights());
             pinned_version_ = 0;
             return "ok unloaded";
         }
@@ -671,10 +667,10 @@ std::string Daemon::run_control_command(const std::string& line) {
             }
             if (!registry_->has(version))
                 return "err unknown version: " + std::to_string(version);
-            model_->publish_weights(registry_->load(version));
+            model.publish_weights(registry_->load(version));
             pinned_version_ = version;
             return "ok pinned " + std::to_string(version) + " published " +
-                   std::to_string(model_->published_version());
+                   std::to_string(model.published_version());
         }
         if (cmd == "rollback") {
             if (!registry_) return "err no registry";
@@ -690,10 +686,10 @@ std::string Daemon::run_control_command(const std::string& line) {
             if (idx == 0 || idx == entries.size())
                 return "err nothing to roll back to";
             const std::uint64_t version = entries[idx - 1].version;
-            model_->publish_weights(registry_->load(version));
+            model.publish_weights(registry_->load(version));
             pinned_version_ = version;
             return "ok pinned " + std::to_string(version) + " published " +
-                   std::to_string(model_->published_version());
+                   std::to_string(model.published_version());
         }
     } catch (const std::exception& e) {
         return std::string("err ") + e.what();
@@ -734,7 +730,8 @@ std::string Daemon::stats_json() const {
             .add("backpressure_pauses", d.backpressure_pauses)
             .add("inflight", d.inflight)
             .add("draining", d.draining)
-            .add("published_version", model_->published_version())
+            .add("published_version",
+                 router_->default_model()->published_version())
             .add("pinned_version", pinned_version_)
             .add("resident_bytes",
                  static_cast<std::uint64_t>(router_->resident_bytes()))

@@ -26,7 +26,7 @@
 // Rejected frame exactly like it resolves a future in-process.
 //
 // Backpressure is layered:
-//   * Server intake: the daemon requires the Shed policy (Block would
+//   * Router intake: the daemon requires the Shed policy (Block would
 //     park the event loop); a full queue resolves QueueFull inline.
 //   * Connection: a client that stops reading, or floods requests, has
 //     its EPOLLIN interest dropped once its pending bytes or in-flight
@@ -42,8 +42,9 @@
 //
 // The admin control socket (dinit idiom: line commands over a Unix
 // socket) shares the same loop: `stats` (ServerStats + per-connection
-// counters as JSON), default-model weight load/unload and pin/rollback
-// through online::ModelRegistry, `drain`, `shutdown` — plus the fleet
+// counters as JSON), `metrics` (the same counters as Prometheus text),
+// default-model weight load/unload and pin/rollback through
+// online::ModelRegistry, `drain`, `shutdown` — plus the fleet
 // commands `models`, `stats <name>`, `load <name>`, `unload <name>`,
 // `pin <name> <version>` and `canary <name> <version> <pct>`. The two
 // grammars share verbs without ambiguity: model names must start with a
@@ -63,11 +64,9 @@
 
 #include "netd/event_loop.hpp"
 #include "netd/protocol.hpp"
-#include "obs/registry.hpp"
 #include "online/registry.hpp"
 #include "runtime/compiled_model.hpp"
 #include "serve/router.hpp"
-#include "serve/server.hpp"
 
 namespace neuro::netd {
 
@@ -89,12 +88,6 @@ struct DaemonOptions {
     /// Force-close connections still undrained this long after a
     /// drain/shutdown request.
     std::uint64_t drain_timeout_ms = 10'000;
-    /// Metrics registry behind the control-socket `metrics` command (null
-    /// answers `err no metrics registry`). The daemon adds a scrape-time
-    /// collector rendering ServerStats / DaemonStats / ModelEntryStats, so
-    /// the registry must not be scraped after the daemon is destroyed.
-    /// Non-owning; neurod wires obs::default_registry().
-    obs::Registry* metrics = nullptr;
 };
 
 /// Loop-thread-owned per-connection counters (snapshot via Daemon::stats).
@@ -137,11 +130,13 @@ public:
     Daemon(std::shared_ptr<serve::ModelRouter> router, DaemonOptions options,
            std::shared_ptr<online::ModelRegistry> registry = nullptr);
 
-    /// Legacy single-model form: drives `server`'s underlying router (a
-    /// fleet of one). `model` is the served CompiledModel (weight
-    /// publication target for the legacy control commands).
-    Daemon(std::shared_ptr<serve::Server> server,
-           std::shared_ptr<const runtime::CompiledModel> model,
+    /// Single-model form: `model` names the model the legacy control
+    /// commands (version/load/unload/pin/rollback) publish weights to. It
+    /// must be `router`'s default model — the one its workers serve —
+    /// or this throws std::invalid_argument. Otherwise identical to the
+    /// router-native form.
+    Daemon(std::shared_ptr<serve::ModelRouter> router,
+           const std::shared_ptr<const runtime::CompiledModel>& model,
            DaemonOptions options,
            std::shared_ptr<online::ModelRegistry> registry = nullptr);
     ~Daemon();
@@ -207,10 +202,9 @@ private:
     std::string run_control_command(const std::string& line);
     std::string stats_json() const;
     std::string models_json() const;
-    /// Scrape-time bridge (DaemonOptions::metrics): appends the serving /
-    /// daemon / per-model counters as Prometheus families. Reads only
-    /// thread-safe surfaces (router stats, totals_ atomics) — it runs on
-    /// whatever thread scrapes the registry.
+    /// The `metrics` scrape body: appends the serving / daemon / per-model
+    /// counters as Prometheus families, rendered from the same snapshots
+    /// `stats` reports (router stats, totals_ atomics).
     void collect_metrics(std::string& out) const;
     /// Records a ConnError flight event when the router has a recorder.
     void record_conn_error(int fd, const char* what);
@@ -233,11 +227,7 @@ private:
     void check_drain_progress();
     std::size_t unflushed_bytes(const ConnPtr& conn);
 
-    /// Shared construction tail: option/backpressure validation.
-    void validate_config() const;
-
     std::shared_ptr<serve::ModelRouter> router_;
-    std::shared_ptr<const runtime::CompiledModel> model_;
     DaemonOptions options_;
     std::shared_ptr<online::ModelRegistry> registry_;
 

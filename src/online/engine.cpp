@@ -7,8 +7,8 @@
 
 #include "core/trainer.hpp"
 #include "obs/flight_recorder.hpp"
+#include "serve/admission.hpp"
 #include "serve/clock.hpp"
-#include "serve/scheduler.hpp"
 
 namespace {
 /// Accuracy as integer parts-per-million — what the flight event's b word

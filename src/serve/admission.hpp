@@ -20,7 +20,7 @@
 //     handed back as a DeadlineExceeded drop instead.
 //
 // Drops are never silent: every dequeue operation surfaces the entries it
-// dropped to the caller (serve::Server resolves their futures as
+// dropped to the caller (serve::ModelRouter resolves their futures as
 // Rejected{Overload|DeadlineExceeded}), so the accepted-implies-completed
 // guarantee survives — "completed" now includes "explicitly rejected at
 // the head", which is the whole point of admission control.
@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "serve/clock.hpp"
-#include "serve/scheduler.hpp"
 
 namespace neuro::serve {
 
@@ -70,7 +69,7 @@ struct CoDelConfig {
     std::uint64_t interval_us = 100'000;///< how long above target before dropping
 };
 
-/// Shared admission configuration (ServerOptions::admission).
+/// Shared admission configuration (RouterOptions::admission).
 struct AdmissionConfig {
     CoDelConfig codel;
     /// Weighted-round-robin quanta per class, indexed by Priority. Every
@@ -103,6 +102,18 @@ struct CoDelState {
     std::uint64_t drop_next_us = 0;    ///< next scheduled head drop
 };
 
+/// Micro-batch coalescing policy (collect_admitted / collect_batch below).
+/// Coalescing trades at most max_delay_us of extra queueing for the first
+/// request in a batch for batch-sized dispatch units: EMSTDP inference
+/// runs in fixed-length phases, so requests dispatched together pipeline
+/// through one session without re-arming the worker in between.
+struct BatchPolicy {
+    /// Upper bound on requests per dispatch; 1 disables coalescing.
+    std::size_t max_batch = 8;
+    /// How long a batch may wait for company after its first request.
+    std::uint64_t max_delay_us = 200;
+};
+
 /// A dequeued entry the caller may dispatch.
 template <typename T>
 struct Admitted {
@@ -122,11 +133,11 @@ struct Dropped {
     DropCause cause = DropCause::Overload;
 };
 
-/// Bounded MPMC queue with admission control at the head. Same blocking /
-/// shedding / close-drains-accepted surface as common::BoundedQueue, plus
-/// per-entry class + deadline metadata and the CoDel state machine. Unlike
-/// BoundedQueue it stores entries in per-class deques (admission reorders
-/// across classes by design; FIFO holds within a class).
+/// Bounded MPMC queue with admission control at the head: blocking push,
+/// shedding try_push, timed pop_until and close-drains-accepted, plus
+/// per-entry class + deadline metadata and the CoDel state machine.
+/// Entries live in per-class deques (admission reorders across classes by
+/// design; FIFO holds within a class).
 template <typename T>
 class AdmissionQueue {
 public:
@@ -397,12 +408,13 @@ private:
     AdmissionCounters counters_;
 };
 
-/// Micro-batch collection over an AdmissionQueue: same coalescing contract
-/// as serve::collect_batch (block for the first admitted entry, coalesce
-/// until max_batch or max_delay_us), plus a drop sink — `on_drop` is
-/// invoked outside the queue lock for every entry shed by admission, and
-/// is called for trailing drops even when the collect itself returns
-/// false. Returns false only when the queue is closed and drained.
+/// Micro-batch collection over an AdmissionQueue: block for the first
+/// admitted entry, then coalesce until max_batch or max_delay_us, plus a
+/// drop sink — `on_drop` is invoked outside the queue lock for every entry
+/// shed by admission, and is called for trailing drops even when the
+/// collect itself returns false. Returns false only when the queue is
+/// closed and drained. A timeout or a close mid-coalesce simply dispatches
+/// the partial batch.
 template <typename T, typename OnDrop>
 bool collect_admitted(AdmissionQueue<T>& q, const BatchPolicy& policy,
                       std::vector<Admitted<T>>& out, OnDrop&& on_drop) {
@@ -438,11 +450,10 @@ bool collect_admitted(AdmissionQueue<T>& q, const BatchPolicy& policy,
     return true;
 }
 
-/// Value-only overload matching the BoundedQueue collect_batch signature,
-/// for consumers that do not resolve futures (the online learner draining
-/// the Feedback class): dropped entries are discarded — the queue already
-/// counted them (AdmissionCounters), and a stale feedback sample needs no
-/// further resolution.
+/// Value-only collect_admitted, for consumers that do not resolve futures
+/// (the online learner draining the Feedback class): dropped entries are
+/// discarded — the queue already counted them (AdmissionCounters), and a
+/// stale feedback sample needs no further resolution.
 template <typename T>
 bool collect_batch(AdmissionQueue<T>& q, const BatchPolicy& policy,
                    std::vector<T>& out) {

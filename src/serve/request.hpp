@@ -55,8 +55,8 @@ using CompletionFn = std::function<void(InferenceResult&&)>;
 
 /// Per-request submission parameters — the single options struct every
 /// submit verb (submit / submit_counts / submit_async / submit_feedback)
-/// takes, on both Server and ModelRouter. One struct instead of parallel
-/// overload ladders: a new knob lands in every path at once.
+/// takes. One struct instead of parallel overload ladders: a new knob
+/// lands in every path at once.
 struct SubmitOptions {
     Priority priority = Priority::Interactive;
     /// SLO deadline relative to acceptance, in microseconds; 0 = none.
@@ -64,9 +64,9 @@ struct SubmitOptions {
     /// dispatched — it resolves Rejected{DeadlineExceeded} instead.
     std::uint64_t deadline_us = 0;
     /// Which fleet entry serves this request; "" = the default model, so
-    /// every pre-router call site keeps its meaning unchanged. On a plain
-    /// single-model Server a non-empty name resolves
-    /// Rejected{UnknownModel}.
+    /// every pre-router call site keeps its meaning unchanged. On a router
+    /// without a fleet_dir (a single-model Server) a non-empty name
+    /// resolves Rejected{UnknownModel}.
     std::string model;
     /// Stable client-supplied id (netd passes the wire request_id). The
     /// router hashes it to pick the canary arm, so a retry of the same

@@ -11,6 +11,27 @@
 
 namespace neuro::serve {
 
+const char* to_string(Status s) {
+    switch (s) {
+        case Status::Ok: return "ok";
+        case Status::Rejected: return "rejected";
+        case Status::Error: return "error";
+    }
+    return "?";
+}
+
+const char* to_string(RejectReason r) {
+    switch (r) {
+        case RejectReason::None: return "none";
+        case RejectReason::QueueFull: return "queue-full";
+        case RejectReason::Shutdown: return "shutdown";
+        case RejectReason::Overload: return "overload";
+        case RejectReason::DeadlineExceeded: return "deadline-exceeded";
+        case RejectReason::UnknownModel: return "unknown-model";
+    }
+    return "?";
+}
+
 namespace {
 
 InferenceResult rejected_result(RejectReason reason, Priority cls) {
@@ -263,7 +284,7 @@ ModelRouter::Entry& ModelRouter::find_or_register_locked(
 }
 
 std::string ModelRouter::registry_dir_locked(const Entry& e) const {
-    if (e.name.empty()) return options_.default_registry_dir;
+    if (e.name.empty()) return options_.registry_dir;
     if (options_.fleet_dir.empty()) return "";
     return (std::filesystem::path(options_.fleet_dir) / e.name).string();
 }
@@ -370,8 +391,8 @@ ModelRouter::DispatchSlot ModelRouter::acquire_slot(
         ++e->base_dispatched;
         ++e->base_inflight;
         // Batch boundary: the base arm adopts a newly published weight
-        // image once per (entry, worker, batch), exactly the old Server
-        // refresh discipline. The canary arm never refreshes — its whole
+        // image once per (entry, worker, batch) — the §9 refresh
+        // discipline. The canary arm never refreshes — its whole
         // point is serving a fixed candidate version.
         if (e->refreshed_batch[worker] != batch_ordinal) {
             e->refreshed_batch[worker] = batch_ordinal;

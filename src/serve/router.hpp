@@ -47,10 +47,11 @@
 // interleaving trivially race-free (tests/router_test.cpp hammers this
 // under TSan).
 //
-// serve::Server is now a thin single-model wrapper over this class, so the
-// two share one engine: admission, micro-batching, refresh-at-batch-
-// boundary, stats, and the accepted-implies-completed guarantee behave
-// identically whether or not a fleet is configured.
+// This class is the one serving engine: serve::Server (server.hpp) is an
+// alias for it, and a router without a fleet_dir is the single-model
+// server. Admission, micro-batching, refresh-at-batch-boundary, stats, and
+// the accepted-implies-completed guarantee behave identically whether or
+// not a fleet is configured.
 
 #include <atomic>
 #include <chrono>
@@ -71,7 +72,6 @@
 #include "serve/clock.hpp"
 #include "serve/feedback.hpp"
 #include "serve/request.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/stats.hpp"
 
 namespace neuro::serve {
@@ -95,7 +95,7 @@ struct RouterOptions {
     /// Registry directory for the DEFAULT entry's pin/canary weights
     /// (typically the same registry the online engine records into). ""
     /// means the default entry cannot canary.
-    std::string default_registry_dir;
+    std::string registry_dir;
     /// Resident plastic-weight budget in bytes, summed over every loaded
     /// arm fleet-wide (the always-pinned default entry counts too). 0 =
     /// unlimited. Soft ceiling: pinned/inflight entries are never evicted.

@@ -1,175 +1,17 @@
 #pragma once
-// neuro::serve::Server — the single-model face of the serving engine.
+// neuro::serve::Server — the single-model name for the serving engine.
 //
-//   submit() ──► AdmissionQueue ──► collect_admitted() ──► worker Session
-//                 (backpressure,      (micro-batching +        ──► future
-//                  priority classes)   CoDel / deadline drops)
-//
-// Since the multi-model PR the engine itself lives in serve::ModelRouter
-// (router.hpp, docs/ARCHITECTURE.md §12); a Server is a thin wrapper that
-// configures a router with exactly one permanently resident model — the
-// fleet of one. Every behavioral contract established here still holds
-// and is still test-enforced (tests/serve_test.cpp):
-//
-//   * One Server owns one immutable CompiledModel and a pool of worker
-//     Sessions (one per worker thread — Sessions are not thread-safe,
-//     models are; docs/ARCHITECTURE.md §5).
-//   * Every ACCEPTED request resolves: dispatched requests complete
-//     Ok/Error, head-dropped requests complete Rejected{Overload|
-//     DeadlineExceeded} — shutdown() closes the intake, drains the queue,
-//     and joins the workers.
-//   * Backpressure (ServerOptions::backpressure) acts at the intake:
-//     Block parks the submitter until space frees; Shed returns an
-//     already-completed Rejected{QueueFull} handle.
-//   * Admission control (ServerOptions::admission) acts at the head —
-//     CoDel controlled delay, weighted round robin across classes,
-//     deadline-expired requests never cost a session slot
-//     (docs/ARCHITECTURE.md §10) — all on the injectable Clock.
-//   * Determinism: results are bit-identical to sequential Session calls
-//     no matter the batch size, worker count, or arrival order.
-//   * Learning-while-serving: workers refresh() at batch boundaries, so a
-//     published weight image reaches the pool within one batch per worker
-//     (docs/ARCHITECTURE.md §9); labeled feedback flows through the
-//     admission layer's Feedback class (submit_feedback).
-//
-// API note: every submit verb takes the one SubmitOptions struct
-// (priority, deadline_us, model, request_id, on_complete). The old
-// (image, opt, done) callback overloads survive as thin shims.
+// The engine is serve::ModelRouter (router.hpp, docs/ARCHITECTURE.md §8
+// and §12). Constructed from one CompiledModel with no fleet directory it
+// serves exactly that model as its permanently pinned default entry — the
+// fleet of one — so single-model callers keep the Server /
+// ServerOptions spelling without a second class behind it.
 
-#include <atomic>
-#include <cstddef>
-#include <memory>
-#include <utility>
-
-#include "common/tensor.hpp"
-#include "runtime/compiled_model.hpp"
-#include "serve/admission.hpp"
-#include "serve/clock.hpp"
-#include "serve/feedback.hpp"
-#include "serve/request.hpp"
 #include "serve/router.hpp"
-#include "serve/scheduler.hpp"
-#include "serve/stats.hpp"
 
 namespace neuro::serve {
 
-struct ServerOptions {
-    std::size_t workers = 2;         ///< worker threads == backend sessions
-    std::size_t queue_capacity = 64; ///< bounded intake; the backpressure knob
-    BatchPolicy batch;               ///< micro-batch coalescing policy
-    Backpressure backpressure = Backpressure::Block;
-    /// Head-of-queue admission control: CoDel discipline, class weights,
-    /// and the Feedback-class (labeled feedback) intake capacity.
-    AdmissionConfig admission;
-    /// Time source for admission decisions and latency accounting; null
-    /// (default) uses the shared monotonic SteadyClock. Tests inject a
-    /// ManualClock to drive CoDel/deadline transitions deterministically.
-    std::shared_ptr<Clock> clock;
-};
-
-class Server {
-public:
-    /// Validates options and opens one Session per worker. Workers do not
-    /// run until start(); submissions before start() queue up (or shed once
-    /// the queue fills), which makes backpressure tests deterministic.
-    Server(std::shared_ptr<const runtime::CompiledModel> model,
-           ServerOptions options = {});
-    /// Drains and joins (shutdown()).
-    ~Server() = default;
-
-    Server(const Server&) = delete;
-    Server& operator=(const Server&) = delete;
-
-    /// Spawns the worker threads. Idempotent; harmless after shutdown().
-    void start() { router_->start(); }
-
-    /// Async argmax inference. The handle resolves with status Ok and the
-    /// predicted label (bit-identical to Session::predict on this model),
-    /// or Rejected when backpressure or admission control refused it. When
-    /// opt.on_complete is set the result goes through the callback instead
-    /// and the returned handle is invalid.
-    InferenceHandle submit(const common::Tensor& image,
-                           SubmitOptions opt = {}) {
-        return router_->submit(image, std::move(opt));
-    }
-
-    /// Async phase-1 spike counts (bit-identical to Session::output_counts).
-    InferenceHandle submit_counts(const common::Tensor& image,
-                                  SubmitOptions opt = {}) {
-        return router_->submit_counts(image, std::move(opt));
-    }
-
-    /// Push-style submit: opt.on_complete is invoked exactly once with the
-    /// final result — on a worker thread when the request was dispatched or
-    /// head-dropped, inline on the calling thread when it was refused at
-    /// the intake. The callback must not throw or block (neurod's epoll
-    /// loop and the serving workers run it). With Block backpressure the
-    /// *submit call* may still block on queue space, so event-loop callers
-    /// pair this with the Shed policy.
-    void submit_async(const common::Tensor& image, SubmitOptions opt) {
-        router_->submit_async(image, std::move(opt));
-    }
-
-    /// submit_async for phase-1 spike counts.
-    void submit_counts_async(const common::Tensor& image, SubmitOptions opt) {
-        router_->submit_counts_async(image, std::move(opt));
-    }
-
-    /// Deprecated shim (pre-unification signature): the callback now lives
-    /// in SubmitOptions::on_complete — prefer submit_async(image, opt).
-    void submit_async(const common::Tensor& image, SubmitOptions opt,
-                      CompletionFn done) {
-        opt.on_complete = std::move(done);
-        submit_async(image, std::move(opt));
-    }
-
-    /// Deprecated shim: prefer submit_counts_async(image, opt).
-    void submit_counts_async(const common::Tensor& image, SubmitOptions opt,
-                             CompletionFn done) {
-        opt.on_complete = std::move(done);
-        submit_counts_async(image, std::move(opt));
-    }
-
-    /// Hands a labeled observation to the Feedback class. Best-effort:
-    /// returns false — and drops the sample — when the feedback intake is
-    /// disabled (admission.feedback_capacity == 0), the queue is full, the
-    /// label is out of range for the model, or the server is shutting
-    /// down. Never blocks: inference traffic has priority over learning
-    /// material.
-    bool submit_feedback(const common::Tensor& image, std::size_t label,
-                         const SubmitOptions& opt = {}) {
-        return router_->submit_feedback(image, label, opt);
-    }
-
-    /// The feedback stream the online learner drains (null when
-    /// admission.feedback_capacity == 0). Closed by shutdown(), which is
-    /// the learner's signal to finish its drain and stop.
-    const std::shared_ptr<FeedbackQueue>& feedback_queue() const {
-        return router_->feedback_queue();
-    }
-
-    /// Graceful shutdown: refuses new submissions, resolves every accepted
-    /// request (dispatch or admission drop), then joins the workers.
-    /// Idempotent. If the server was never start()ed, it is started first
-    /// so queued requests still drain.
-    void shutdown() { router_->shutdown(); }
-
-    bool running() const { return router_->running(); }
-    const ServerOptions& options() const { return options_; }
-    /// The admission clock (the injected one, or the shared steady clock).
-    const std::shared_ptr<Clock>& clock() const { return router_->clock(); }
-
-    /// The engine underneath — what netd::Daemon actually drives. A plain
-    /// Server's router serves only the default entry "".
-    const std::shared_ptr<ModelRouter>& router() const { return router_; }
-
-    /// Point-in-time counters + latency percentiles. elapsed/throughput are
-    /// measured from start() (frozen at shutdown()).
-    ServerStats stats() const { return router_->stats(); }
-
-private:
-    ServerOptions options_;
-    std::shared_ptr<ModelRouter> router_;
-};
+using ServerOptions = RouterOptions;
+using Server = ModelRouter;
 
 }  // namespace neuro::serve

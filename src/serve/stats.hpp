@@ -1,6 +1,6 @@
 #pragma once
 // Serving observability: log-bucketed latency + sojourn histograms plus
-// the thread-safe metrics sink workers record into. Server::stats()
+// the thread-safe metrics sink workers record into. ModelRouter::stats()
 // snapshots the sink — merged with the admission queues' disposition
 // counters — into a plain ServerStats struct that benches export through
 // bench_util::JsonWriter (see bench/serving_load.cpp for the schema).
@@ -16,10 +16,6 @@
 #include "serve/admission.hpp"
 
 namespace neuro::serve {
-
-/// The histogram now lives in common::stats (shared with neuro::online);
-/// this alias keeps the historical serve::LatencyHistogram name working.
-using LatencyHistogram = common::LatencyHistogram;
 
 /// Point-in-time snapshot of a Server's counters. Plain data — safe to
 /// copy out of the lock and print/serialize at leisure.
@@ -123,8 +119,8 @@ private:
     std::uint64_t batched_requests_ = 0;
     std::size_t max_batch_ = 0;
     std::size_t peak_queue_depth_ = 0;
-    LatencyHistogram latency_;
-    LatencyHistogram sojourn_;
+    common::LatencyHistogram latency_;
+    common::LatencyHistogram sojourn_;
 };
 
 }  // namespace neuro::serve

@@ -1,19 +1,23 @@
 // Unit tests for src/common: RNG determinism and distribution sanity,
 // tensor algebra, fixed-point helpers, table/CSV rendering, CLI parsing,
-// statistics, and the bounded MPMC queue.
+// statistics — plus the threaded surface of the one bounded MPMC queue,
+// serve::AdmissionQueue (blocking push, shedding try_push, timed pop,
+// close wake-ups, seeded multi-producer/multi-consumer stress).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
-#include "common/bounded_queue.hpp"
 #include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "common/fixed.hpp"
@@ -21,6 +25,8 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/tensor.hpp"
+#include "serve/admission.hpp"
+#include "serve/clock.hpp"
 
 using namespace neuro::common;
 
@@ -231,91 +237,104 @@ TEST(Stats, MeanStddevArgmax) {
     EXPECT_EQ(argmax(std::vector<int>{3, 3, 1}), 0u);
 }
 
-TEST(BoundedQueue, FifoOrderAndSize) {
-    BoundedQueue<int> q(4);
-    EXPECT_EQ(q.capacity(), 4u);
-    for (int i = 0; i < 4; ++i) {
-        int v = i;
-        EXPECT_TRUE(q.push(v));
-    }
-    EXPECT_EQ(q.size(), 4u);
-    for (int i = 0; i < 4; ++i) {
-        int out = -1;
-        EXPECT_TRUE(q.pop(out));
-        EXPECT_EQ(out, i);
-    }
-    EXPECT_EQ(q.size(), 0u);
+// ---- latency histogram ------------------------------------------------------
+
+TEST(LatencyHistogram, PercentilesBoundedBySubBucketResolution) {
+    LatencyHistogram h;
+    for (int i = 1; i <= 1000; ++i) h.record(static_cast<double>(i));
+    EXPECT_EQ(h.count(), 1000u);
+    EXPECT_DOUBLE_EQ(h.max_us(), 1000.0);
+    EXPECT_NEAR(h.mean_us(), 500.5, 1e-9);
+    const double p50 = h.percentile(0.50);
+    const double p95 = h.percentile(0.95);
+    const double p99 = h.percentile(0.99);
+    EXPECT_LE(p50, p95);
+    EXPECT_LE(p95, p99);
+    EXPECT_LE(p99, h.max_us());
+    // Log-bucketed estimates err high by at most one sub-bucket (~6%).
+    EXPECT_GE(p50, 500.0);
+    EXPECT_LE(p50, 500.0 * 1.07);
+    EXPECT_GE(p99, 990.0);
+    // p100 clamps to the observed maximum.
+    EXPECT_DOUBLE_EQ(h.percentile(1.0), 1000.0);
 }
 
-TEST(BoundedQueue, ZeroCapacityThrows) {
-    EXPECT_THROW(BoundedQueue<int>(0), std::invalid_argument);
+TEST(LatencyHistogram, EmptyAndSubMicrosecond) {
+    LatencyHistogram h;
+    EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
+    h.record(0.25);
+    EXPECT_EQ(h.count(), 1u);
+    EXPECT_LE(h.percentile(0.50), 1.0);
+    EXPECT_LE(h.percentile(0.99), 1.0);
 }
 
-TEST(BoundedQueue, TryPushRefusesWhenFullAndKeepsValue) {
-    BoundedQueue<std::unique_ptr<int>> q(1);
+// ---- admission queue: blocking, shedding, timed pop, close ------------------
+
+namespace {
+
+using neuro::serve::Admitted;
+using neuro::serve::AdmissionQueue;
+using neuro::serve::Dropped;
+
+// Encode (producer, sequence) so consumers can check per-producer FIFO
+// without any out-of-band bookkeeping.
+constexpr int kSeqBase = 1'000'000;
+int encode(int producer, int seq) { return producer * kSeqBase + seq; }
+
+}  // namespace
+
+TEST(AdmissionQueue, TryPushRefusesWhenFullAndKeepsValue) {
+    using Queue = AdmissionQueue<std::unique_ptr<int>>;
+    Queue q(1);
     auto a = std::make_unique<int>(1);
-    EXPECT_EQ(q.try_push(a), BoundedQueue<std::unique_ptr<int>>::Push::Ok);
+    EXPECT_EQ(q.try_push(a), Queue::Push::Ok);
     EXPECT_EQ(a, nullptr);  // moved out on success
     auto b = std::make_unique<int>(2);
-    EXPECT_EQ(q.try_push(b), BoundedQueue<std::unique_ptr<int>>::Push::Full);
+    EXPECT_EQ(q.try_push(b), Queue::Push::Full);
     ASSERT_NE(b, nullptr);  // refused value stays with the caller
     EXPECT_EQ(*b, 2);
     q.close();
-    EXPECT_EQ(q.try_push(b), BoundedQueue<std::unique_ptr<int>>::Push::Closed);
+    EXPECT_EQ(q.try_push(b), Queue::Push::Closed);
     ASSERT_NE(b, nullptr);
+    EXPECT_EQ(*b, 2);
 }
 
-TEST(BoundedQueue, CloseDrainsAcceptedItemsThenRefuses) {
-    BoundedQueue<int> q(8);
-    for (int i = 0; i < 3; ++i) {
-        int v = i;
-        ASSERT_TRUE(q.push(v));
-    }
-    q.close();
-    EXPECT_TRUE(q.closed());
-    int v = 99;
-    EXPECT_FALSE(q.push(v));
-    int out = -1;
-    for (int i = 0; i < 3; ++i) {
-        ASSERT_TRUE(q.pop(out));
-        EXPECT_EQ(out, i);
-    }
-    EXPECT_FALSE(q.pop(out));  // closed and drained
-}
-
-TEST(BoundedQueue, PopUntilTimesOutOnEmpty) {
-    BoundedQueue<int> q(2);
-    int out = -1;
+TEST(AdmissionQueue, PopUntilTimesOutOnEmpty) {
+    AdmissionQueue<int> q(2);
+    Admitted<int> out;
+    std::vector<Dropped<int>> drops;
     const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_FALSE(q.pop_until(
-        out, t0 + std::chrono::milliseconds(5)));
+    EXPECT_FALSE(q.pop_until(out, t0 + std::chrono::milliseconds(5), drops));
     EXPECT_GE(std::chrono::steady_clock::now() - t0,
               std::chrono::milliseconds(4));
+    EXPECT_TRUE(drops.empty());  // a timeout, not a drop round
 }
 
-TEST(BoundedQueue, BlockingPushUnblocksOnPop) {
-    BoundedQueue<int> q(1);
+TEST(AdmissionQueue, BlockingPushUnblocksOnPop) {
+    AdmissionQueue<int> q(1);
     int v0 = 0;
     ASSERT_TRUE(q.push(v0));
     std::atomic<bool> second_pushed{false};
     std::thread producer([&] {
         int v1 = 1;
-        ASSERT_TRUE(q.push(v1));  // blocks until the consumer pops
+        EXPECT_TRUE(q.push(v1));  // blocks until the consumer pops
         second_pushed.store(true);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     EXPECT_FALSE(second_pushed.load());
-    int out = -1;
-    ASSERT_TRUE(q.pop(out));
-    EXPECT_EQ(out, 0);
+    Admitted<int> out;
+    std::vector<Dropped<int>> drops;
+    ASSERT_TRUE(q.pop(out, drops));
+    EXPECT_EQ(out.value, 0);
     producer.join();
     EXPECT_TRUE(second_pushed.load());
-    ASSERT_TRUE(q.pop(out));
-    EXPECT_EQ(out, 1);
+    ASSERT_TRUE(q.pop(out, drops));
+    EXPECT_EQ(out.value, 1);
+    EXPECT_TRUE(drops.empty());
 }
 
-TEST(BoundedQueue, CloseWakesBlockedProducer) {
-    BoundedQueue<int> q(1);
+TEST(AdmissionQueue, CloseWakesBlockedProducer) {
+    AdmissionQueue<int> q(1);
     int v0 = 0;
     ASSERT_TRUE(q.push(v0));
     std::thread producer([&] {
@@ -325,220 +344,98 @@ TEST(BoundedQueue, CloseWakesBlockedProducer) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     q.close();
     producer.join();
-    int out = -1;
-    EXPECT_TRUE(q.pop(out));  // the accepted item still drains
-    EXPECT_EQ(out, 0);
-    EXPECT_FALSE(q.pop(out));
+    Admitted<int> out;
+    std::vector<Dropped<int>> drops;
+    EXPECT_TRUE(q.pop(out, drops));  // the accepted item still drains
+    EXPECT_EQ(out.value, 0);
+    EXPECT_FALSE(q.pop(out, drops));
+    EXPECT_TRUE(drops.empty());
 }
 
-TEST(BoundedQueue, CloseWakesBlockedConsumer) {
-    BoundedQueue<int> q(1);
+TEST(AdmissionQueue, CloseWakesBlockedConsumer) {
+    AdmissionQueue<int> q(1);
     std::thread consumer([&] {
-        int out = -1;
-        EXPECT_FALSE(q.pop(out));  // empty, then woken by close: drained
+        Admitted<int> out;
+        std::vector<Dropped<int>> drops;
+        // Empty, then woken by close: closed and drained.
+        EXPECT_FALSE(q.pop(out, drops));
+        EXPECT_TRUE(drops.empty());
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     q.close();
     consumer.join();
 }
 
-TEST(BoundedQueue, MpmcStressDeliversEverythingOnce) {
-    constexpr int kProducers = 4, kConsumers = 4, kPerProducer = 250;
-    BoundedQueue<int> q(16);
-    std::vector<std::atomic<int>> seen(kProducers * kPerProducer);
-    for (auto& s : seen) s.store(0);
-    std::vector<std::thread> threads;
-    for (int p = 0; p < kProducers; ++p)
-        threads.emplace_back([&, p] {
-            for (int i = 0; i < kPerProducer; ++i) {
-                int v = p * kPerProducer + i;
-                ASSERT_TRUE(q.push(v));
-            }
-        });
-    std::vector<std::thread> consumers;
-    for (int c = 0; c < kConsumers; ++c)
-        consumers.emplace_back([&] {
-            int out = -1;
-            while (q.pop(out)) seen[static_cast<std::size_t>(out)]++;
-        });
-    for (auto& t : threads) t.join();
-    q.close();
-    for (auto& t : consumers) t.join();
-    for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
-}
-
-// ---- latency histogram (moved here from serve; serve keeps an alias) --------
-
-TEST(LatencyHistogram, PercentilesBoundedBySubBucketResolution) {
-    LatencyHistogram h;
-    for (int i = 1; i <= 1000; ++i) h.record(static_cast<double>(i));
-    EXPECT_EQ(h.count(), 1000u);
-    EXPECT_DOUBLE_EQ(h.max_us(), 1000.0);
-    EXPECT_NEAR(h.mean_us(), 500.5, 1e-9);
-    // Log-bucketed estimates err high by at most one sub-bucket (~6%).
-    EXPECT_GE(h.percentile(0.50), 500.0);
-    EXPECT_LE(h.percentile(0.50), 500.0 * 1.07);
-    EXPECT_GE(h.percentile(0.99), 990.0);
-    EXPECT_LE(h.percentile(0.99), 1000.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 1000.0);
-}
-
-TEST(LatencyHistogram, EmptyAndSubMicrosecond) {
-    LatencyHistogram h;
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-    h.record(0.25);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_LE(h.percentile(0.99), 1.0);
-}
-
-// ---- randomized producer/consumer stress (seeded, satellite of the
-// ---- admission-control PR; run under TSan in CI) ----------------------------
-
-#include <map>
-#include <mutex>
-
-#include "serve/admission.hpp"
-#include "serve/clock.hpp"
-
-namespace {
-
-// Encode (producer, sequence) so consumers can check per-producer FIFO
-// without any out-of-band bookkeeping.
-constexpr int kSeqBase = 1'000'000;
-int encode(int producer, int seq) { return producer * kSeqBase + seq; }
-
-}  // namespace
-
 // Randomized (seeded ⇒ reproducible) MPMC interleavings: no accepted item
-// is lost or duplicated, and items from one producer are consumed in the
-// order that producer pushed them — the queue may interleave producers
-// arbitrarily, but never reorders a single producer's stream.
-TEST(BoundedQueueStress, SeededMpmcInterleavingsConserveItemsAndProducerFifo) {
+// is lost or duplicated, and each consumer sees every producer's items in
+// the order that producer pushed them. Pops are serialized by the queue
+// and FIFO holds within a class, so one consumer's pops of one producer's
+// items are increasing — the queue may interleave producers arbitrarily,
+// but never reorders a single producer's stream.
+TEST(AdmissionQueueStress, SeededMpmcLoadKeepsEachProducersOrder) {
     for (const std::uint64_t seed : {7ull, 21ull, 1968ull}) {
         Rng rng(seed);
         const int producers = static_cast<int>(rng.uniform_int(2, 4));
         const int consumers = static_cast<int>(rng.uniform_int(2, 4));
         const int per_producer = static_cast<int>(rng.uniform_int(200, 400));
-        BoundedQueue<int> q(static_cast<std::size_t>(rng.uniform_int(1, 8)));
+        AdmissionQueue<int> q(static_cast<std::size_t>(rng.uniform_int(1, 8)));
 
-        std::vector<std::thread> threads;
-        std::mutex consumed_m;
-        std::vector<int> consumed;
+        std::vector<std::thread> pushers;
         for (int p = 0; p < producers; ++p) {
-            threads.emplace_back([&, p] {
+            pushers.emplace_back([&, p] {
                 for (int s = 0; s < per_producer; ++s) {
                     int v = encode(p, s);
-                    ASSERT_TRUE(q.push(v));  // Block mode: nothing is shed
+                    EXPECT_TRUE(q.push(v));  // blocking push: nothing is shed
                 }
             });
         }
-        std::atomic<int> remaining{producers * per_producer};
+        std::mutex consumed_m;
+        std::vector<std::vector<int>> consumed;
+        std::vector<std::thread> poppers;
         for (int c = 0; c < consumers; ++c) {
-            threads.emplace_back([&] {
-                int out;
+            poppers.emplace_back([&] {
+                Admitted<int> out;
+                std::vector<Dropped<int>> drops;
                 std::vector<int> local;
-                while (remaining.fetch_sub(1) > 0) {
-                    if (!q.pop(out)) break;
-                    local.push_back(out);
-                }
+                while (q.pop(out, drops)) local.push_back(out.value);
+                EXPECT_TRUE(drops.empty());  // no CoDel, no deadlines
                 std::lock_guard<std::mutex> lock(consumed_m);
-                consumed.insert(consumed.end(), local.begin(), local.end());
+                consumed.push_back(std::move(local));
             });
         }
-        // Consumers claim items via `remaining`, so exactly
-        // producers*per_producer pops happen and every thread terminates.
-        for (auto& t : threads) t.join();
+        for (auto& t : pushers) t.join();
+        q.close();  // consumers drain what is left, then see the end
+        for (auto& t : poppers) t.join();
 
-        ASSERT_EQ(consumed.size(),
+        std::vector<int> all;
+        for (const auto& local : consumed) {
+            std::map<int, int> last;  // producer -> last sequence seen
+            for (const int v : local) {
+                const int p = v / kSeqBase;
+                const auto it = last.find(p);
+                ASSERT_TRUE(it == last.end() || it->second < v % kSeqBase)
+                    << "seed " << seed << ": producer " << p << " reordered";
+                last[p] = v % kSeqBase;
+            }
+            all.insert(all.end(), local.begin(), local.end());
+        }
+        // Conservation: each (producer, seq) appears exactly once.
+        ASSERT_EQ(all.size(),
                   static_cast<std::size_t>(producers * per_producer))
             << "seed " << seed;
-        // Conservation: each (producer, seq) appears exactly once.
-        std::vector<int> sorted = consumed;
-        std::sort(sorted.begin(), sorted.end());
+        std::sort(all.begin(), all.end());
         for (int p = 0, i = 0; p < producers; ++p)
             for (int s = 0; s < per_producer; ++s, ++i)
-                ASSERT_EQ(sorted[static_cast<std::size_t>(i)], encode(p, s))
+                ASSERT_EQ(all[static_cast<std::size_t>(i)], encode(p, s))
                     << "seed " << seed;
     }
-}
-
-// NOTE on FIFO-per-producer above: with multiple consumers, consumption
-// order across consumers is not globally observable, so FIFO is asserted
-// in the single-consumer variant below where the pop order IS the queue
-// order.
-TEST(BoundedQueueStress, SingleConsumerObservesPerProducerFifo) {
-    Rng rng(4242);
-    const int producers = 4;
-    const int per_producer = 500;
-    BoundedQueue<int> q(static_cast<std::size_t>(rng.uniform_int(2, 6)));
-
-    std::vector<std::thread> threads;
-    for (int p = 0; p < producers; ++p) {
-        threads.emplace_back([&, p] {
-            for (int s = 0; s < per_producer; ++s) {
-                int v = encode(p, s);
-                ASSERT_TRUE(q.push(v));
-            }
-        });
-    }
-    std::vector<int> consumed;
-    int out;
-    for (int i = 0; i < producers * per_producer; ++i) {
-        ASSERT_TRUE(q.pop(out));
-        consumed.push_back(out);
-    }
-    for (auto& t : threads) t.join();
-
-    std::map<int, int> next_seq;
-    for (const int v : consumed) {
-        const int p = v / kSeqBase;
-        const int s = v % kSeqBase;
-        ASSERT_EQ(s, next_seq[p]) << "producer " << p << " reordered";
-        ++next_seq[p];
-    }
-}
-
-// close() during a concurrent push storm: whatever the queue ACCEPTED is
-// exactly what consumers drain — no accepted item vanishes, no refused
-// item sneaks in.
-TEST(BoundedQueueStress, CloseUnderConcurrentSubmittersDrainsExactlyAccepted) {
-    BoundedQueue<int> q(4);
-    constexpr int kProducers = 4;
-    constexpr int kPerProducer = 300;
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<int> started{0};
-
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&, p] {
-            started.fetch_add(1);
-            for (int s = 0; s < kPerProducer; ++s) {
-                int v = encode(p, s);
-                if (q.try_push(v) == BoundedQueue<int>::Push::Ok)
-                    accepted.fetch_add(1);
-            }
-        });
-    }
-    std::uint64_t consumed = 0;
-    std::thread consumer([&] {
-        int out;
-        while (q.pop(out)) ++consumed;
-    });
-    while (started.load() < kProducers) std::this_thread::yield();
-    q.close();  // races with in-flight try_push calls by design
-    for (auto& t : producers) t.join();
-    consumer.join();
-    EXPECT_EQ(consumed, accepted.load());
 }
 
 // The same conservation law for the admission queue, with drops in the
 // balance: accepted == admitted + dropped, every drop carries the right
 // cause, and within one class a single consumer observes producer FIFO.
 TEST(AdmissionQueueStress, ConcurrentProducersConserveEntriesAcrossClasses) {
-    using neuro::serve::Admitted;
-    using neuro::serve::AdmissionQueue;
     using neuro::serve::DropCause;
-    using neuro::serve::Dropped;
     using neuro::serve::Priority;
 
     auto clk = std::make_shared<neuro::serve::ManualClock>();

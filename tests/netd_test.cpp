@@ -15,7 +15,10 @@
 //   * multi-model (v2): one connection routes to several fleet entries
 //     bit-identically to dedicated sessions, responses echo version+model,
 //     and the fleet control commands (models/load/pin/canary/unload)
-//     drive the router end-to-end.
+//     drive the router end-to-end,
+//   * golden names: the metric families (with label keys) of a `metrics`
+//     scrape and the key lists of the `stats`, `stats <name>` and `models`
+//     JSON replies are pinned, so a refactor cannot rename them silently.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +30,8 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,7 +40,6 @@
 #include "netd/client.hpp"
 #include "netd/daemon.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "online/registry.hpp"
 #include "runtime/compiled_model.hpp"
@@ -137,15 +141,14 @@ struct Harness {
     serve::ServerOptions sopt;
     netd::DaemonOptions dopt;
     std::shared_ptr<online::ModelRegistry> registry;
-    /// When set, start() builds a fleet-enabled ModelRouter and the
-    /// router-native Daemon instead of the legacy Server + compat ctor.
+    /// When set, start() gives the router this fleet and builds the
+    /// router-native Daemon instead of the single-model form.
     std::string fleet_dir;
     std::size_t budget_bytes = 0;
-    /// Observability knobs for the fleet branch (RouterOptions).
+    /// Observability knobs (RouterOptions).
     obs::FlightRecorder* recorder = nullptr;
     std::uint64_t slow_request_us = 0;
 
-    std::shared_ptr<serve::Server> server;
     std::shared_ptr<serve::ModelRouter> router;
     std::unique_ptr<netd::Daemon> daemon;
     std::thread thread;
@@ -164,28 +167,18 @@ struct Harness {
     }
 
     void start(bool start_server = true) {
-        if (fleet_dir.empty()) {
-            server = std::make_shared<serve::Server>(model, sopt);
-            router = server->router();
-            if (start_server) server->start();
+        serve::RouterOptions ropt = sopt;
+        ropt.fleet_dir = fleet_dir;
+        ropt.resident_budget_bytes = budget_bytes;
+        ropt.recorder = recorder;
+        ropt.slow_request_us = slow_request_us;
+        router = std::make_shared<serve::ModelRouter>(model, ropt);
+        if (start_server) router->start();
+        if (fleet_dir.empty())
             daemon =
-                std::make_unique<netd::Daemon>(server, model, dopt, registry);
-        } else {
-            serve::RouterOptions ropt;
-            ropt.workers = sopt.workers;
-            ropt.queue_capacity = sopt.queue_capacity;
-            ropt.batch = sopt.batch;
-            ropt.backpressure = sopt.backpressure;
-            ropt.admission = sopt.admission;
-            ropt.clock = sopt.clock;
-            ropt.fleet_dir = fleet_dir;
-            ropt.resident_budget_bytes = budget_bytes;
-            ropt.recorder = recorder;
-            ropt.slow_request_us = slow_request_us;
-            router = std::make_shared<serve::ModelRouter>(model, ropt);
-            if (start_server) router->start();
+                std::make_unique<netd::Daemon>(router, model, dopt, registry);
+        else
             daemon = std::make_unique<netd::Daemon>(router, dopt, registry);
-        }
         thread = std::thread([this] { daemon->run(); });
         // The daemon binds on its own thread; wait until it answers.
         ASSERT_TRUE(eventually([&] {
@@ -206,10 +199,7 @@ struct Harness {
     void stop() {
         if (daemon && !daemon->finished()) daemon->request_shutdown();
         if (thread.joinable()) thread.join();
-        if (server)
-            server->shutdown();
-        else if (router)
-            router->shutdown();
+        if (router) router->shutdown();
     }
 
     ~Harness() {
@@ -285,10 +275,10 @@ TEST(Netd, WireDeadlineExpiresIntoRejectedFrame) {
     auto frame = make_frame(make_images(1).samples[0].image, 77);
     frame.deadline_us = 1'000;
     client.send(frame);
-    ASSERT_TRUE(eventually([&] { return h.server->stats().accepted >= 1; }));
+    ASSERT_TRUE(eventually([&] { return h.router->stats().accepted >= 1; }));
 
     clock->advance_us(2'000);  // the SLO passes while queued
-    h.server->start();
+    h.router->start();
 
     ResponseFrame resp;
     ASSERT_TRUE(client.recv_response(resp));
@@ -442,6 +432,21 @@ TEST(Netd, ControlPingStatsAndVersion) {
     EXPECT_NE(stats.find("\"daemon\":{"), std::string::npos);
     EXPECT_NE(stats.find("\"connections\":["), std::string::npos);
     EXPECT_NE(stats.find("\"control_commands\""), std::string::npos);
+}
+
+// The single-model constructor names the model its legacy commands
+// (version/load/unload/pin/rollback/stats) publish to. A model the router
+// does not serve would take those publishes while every worker kept the
+// old weights — so construction refuses it.
+TEST(Netd, SingleModelDaemonRefusesAModelTheRouterDoesNotServe) {
+    Harness h;
+    const auto router = std::make_shared<serve::ModelRouter>(h.model, h.sopt);
+    const auto other = make_model();  // same spec, a different CompiledModel
+    EXPECT_THROW(std::make_unique<netd::Daemon>(router, other, h.dopt),
+                 std::invalid_argument);
+    EXPECT_THROW(std::make_unique<netd::Daemon>(router, nullptr, h.dopt),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(std::make_unique<netd::Daemon>(router, h.model, h.dopt));
 }
 
 TEST(Netd, RegistryPinAndRollbackRoundTrip) {
@@ -635,9 +640,7 @@ TEST(Netd, FleetControlCommandsDriveTheRouter) {
 // ---- observability (docs/ARCHITECTURE.md §14) -------------------------------
 
 TEST(Netd, MetricsScrapeExposesServerAndDaemonFamilies) {
-    obs::Registry reg;
-    Harness h;
-    h.dopt.metrics = &reg;
+    Harness h;  // default options: the scrape needs no wiring
     h.start();
     const auto img = make_images(1).samples[0].image;
     auto client = h.connect();
@@ -646,15 +649,19 @@ TEST(Netd, MetricsScrapeExposesServerAndDaemonFamilies) {
         ASSERT_EQ(resp.status, WireStatus::Ok) << resp.error;
     }
 
-    const std::string text =
-        netd::control_request_multiline(h.dopt.control_path, "metrics");
+    // A worker counts a batch completed just after resolving its requests,
+    // so the fourth response can reach the client before the count does.
+    std::string text;
+    ASSERT_TRUE(eventually([&] {
+        text = netd::control_request_multiline(h.dopt.control_path, "metrics");
+        return text.find("neuro_server_completed_total 4") != std::string::npos;
+    })) << text;
     // Well-formed exposition: HELP/TYPE headers, the absorbed ServerStats
     // and DaemonStats families with live values, "# EOF" terminator line.
     EXPECT_NE(text.find("# TYPE "), std::string::npos) << text;
     EXPECT_NE(text.find("# HELP "), std::string::npos);
     EXPECT_NE(text.find("neuro_server_accepted_total 4"), std::string::npos)
         << text;
-    EXPECT_NE(text.find("neuro_server_completed_total 4"), std::string::npos);
     EXPECT_NE(text.find("neuro_daemon_frames_in_total 4"), std::string::npos);
     EXPECT_NE(text.find("neuro_daemon_connections_open "), std::string::npos);
     EXPECT_NE(text.find("neuro_server_latency_us{quantile=\"0.99\"}"),
@@ -668,10 +675,8 @@ TEST(Netd, MetricsScrapeExposesServerAndDaemonFamilies) {
 }
 
 TEST(Netd, MetricsScrapeCoversTheFleetPerModelFamilies) {
-    obs::Registry reg;
     Harness h;
     h.fleet_dir = make_fleet("metrics", *h.model, {{"alpha", 1}});
-    h.dopt.metrics = &reg;
     h.start();
     EXPECT_EQ(h.control("load alpha"), "ok loaded alpha version 1");
     const auto img = make_images(1).samples[0].image;
@@ -688,15 +693,14 @@ TEST(Netd, MetricsScrapeCoversTheFleetPerModelFamilies) {
     std::filesystem::remove_all(h.fleet_dir);
 }
 
-TEST(Netd, MetricsWithoutRegistryAndEventsWithoutRecorderErr) {
+TEST(Netd, EventsWithoutRecorderErr) {
     Harness h;
     h.start();
-    EXPECT_EQ(h.control("metrics"), "err no metrics registry");
     EXPECT_EQ(h.control("events"), "err no recorder");
     // The multiline client returns a bare err line without waiting for a
     // terminator that will never come.
-    EXPECT_EQ(netd::control_request_multiline(h.dopt.control_path, "metrics"),
-              "err no metrics registry");
+    EXPECT_EQ(netd::control_request_multiline(h.dopt.control_path, "events"),
+              "err no recorder");
 }
 
 TEST(Netd, EventsDumpRecordsControlPlaneHistory) {
@@ -801,4 +805,300 @@ TEST(Netd, V3WithoutTheFlagAndOlderVersionsGetNoTraceBlock) {
     ASSERT_EQ(resp1.status, WireStatus::Ok) << resp1.error;
     EXPECT_EQ(resp1.version, netd::kProtocolVersion);
     EXPECT_TRUE(resp1.trace.empty());
+}
+
+// ---- golden names -------------------------------------------------------------
+
+namespace {
+
+/// "<family> <type> {<label keys>}" for every family of a scrape. The label
+/// keys are the union over the family's sample lines; a sample without a
+/// `# TYPE` header shows up with an empty type.
+std::set<std::string> metric_families(const std::string& text) {
+    std::map<std::string, std::string> type_of;
+    std::map<std::string, std::set<std::string>> keys_of;
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("# TYPE ", 0) == 0) {
+            std::istringstream t(line.substr(7));
+            std::string name, type;
+            t >> name >> type;
+            type_of[name] = type;
+            keys_of[name];
+            continue;
+        }
+        if (line.empty() || line[0] == '#') continue;
+        const std::size_t brace = line.find('{');
+        const std::size_t space = line.find(' ');
+        auto& keys = keys_of[line.substr(0, std::min(brace, space))];
+        if (brace > space) continue;
+        // {k="v",k2="v2"}: a key ends at '=', its value is a quoted string
+        // (label values here never contain quotes).
+        std::size_t i = brace + 1;
+        while (i < line.size() && line[i] != '}') {
+            const std::size_t eq = line.find('=', i);
+            if (eq == std::string::npos) break;
+            keys.insert(line.substr(i, eq - i));
+            i = line.find('"', eq + 2) + 1;
+            if (i < line.size() && line[i] == ',') ++i;
+        }
+    }
+    std::set<std::string> out;
+    for (const auto& [name, keys] : keys_of) {
+        std::string row = name + " " + type_of[name] + " {";
+        for (const auto& k : keys) row += (row.back() == '{' ? "" : ",") + k;
+        out.insert(row + "}");
+    }
+    return out;
+}
+
+/// Adds every key path of the JSON value at s[i] to `out` ("daemon.inflight",
+/// "models[].name"); `where` is the value's own path ("" at the root).
+void json_keys(const std::string& s, std::size_t& i, const std::string& where,
+               std::set<std::string>& out) {
+    const auto skip_string = [&] {  // s[i] is the opening quote
+        for (++i; i < s.size() && s[i] != '"'; ++i)
+            if (s[i] == '\\') ++i;
+        ++i;
+    };
+    if (i >= s.size()) return;
+    if (s[i] == '{') {
+        ++i;
+        while (i < s.size() && s[i] != '}') {
+            const std::size_t start = i + 1;
+            skip_string();
+            const std::string key = s.substr(start, i - 1 - start);
+            const std::string path = where.empty() ? key : where + "." + key;
+            out.insert(path);
+            ++i;  // ':'
+            json_keys(s, i, path, out);
+            if (i < s.size() && s[i] == ',') ++i;
+        }
+        ++i;
+    } else if (s[i] == '[') {
+        ++i;
+        while (i < s.size() && s[i] != ']') {
+            json_keys(s, i, where + "[]", out);
+            if (i < s.size() && s[i] == ',') ++i;
+        }
+        ++i;
+    } else if (s[i] == '"') {
+        skip_string();
+    } else {
+        while (i < s.size() && s[i] != ',' && s[i] != '}' && s[i] != ']') ++i;
+    }
+}
+
+/// The key paths of an "ok <json>" control reply.
+std::set<std::string> reply_keys(const std::string& reply) {
+    std::set<std::string> out;
+    if (reply.rfind("ok ", 0) != 0) return out;
+    std::size_t i = 3;
+    json_keys(reply, i, "", out);
+    return out;
+}
+
+}  // namespace
+
+// Pins every name the control plane exposes against a fleet whose one
+// entry carries a canary arm — the names scrapers and dashboards key on.
+TEST(Netd, GoldenMetricFamiliesAndControlJsonKeys) {
+    Harness h;
+    h.fleet_dir = make_fleet("golden", *h.model, {{"alpha", 1}});
+    {
+        online::ModelRegistry reg(
+            (std::filesystem::path(h.fleet_dir) / "alpha").string());
+        reg.record(2, 0.95, forced_snapshot(*h.model, 3));
+    }
+    h.start();
+    EXPECT_EQ(h.control("load alpha"), "ok loaded alpha version 2");
+    EXPECT_EQ(h.control("canary alpha 1 50"),
+              "ok canary alpha version 1 pct 50");
+    const auto img = make_images(1).samples[0].image;
+    auto client = h.connect();
+    for (std::uint64_t id = 1; id <= 8; ++id) {
+        ASSERT_EQ(client.call(make_v2_frame(img, id, "alpha")).status,
+                  WireStatus::Ok);
+        ASSERT_EQ(client.call(make_frame(img, 100 + id)).status,
+                  WireStatus::Ok);
+    }
+
+    const std::string text =
+        netd::control_request_multiline(h.dopt.control_path, "metrics");
+    EXPECT_EQ(metric_families(text), (std::set<std::string>{
+        "neuro_daemon_backpressure_pauses_total counter {}",
+        "neuro_daemon_bytes_in_total counter {}",
+        "neuro_daemon_bytes_out_total counter {}",
+        "neuro_daemon_connections_accepted_total counter {}",
+        "neuro_daemon_connections_open gauge {}",
+        "neuro_daemon_control_commands_total counter {}",
+        "neuro_daemon_feedback_frames_total counter {}",
+        "neuro_daemon_frames_in_total counter {}",
+        "neuro_daemon_inflight gauge {}",
+        "neuro_daemon_malformed_closed_total counter {}",
+        "neuro_daemon_resident_bytes gauge {}",
+        "neuro_daemon_responses_out_total counter {}",
+        "neuro_model_codel_dropped_total counter {model}",
+        "neuro_model_deadline_dropped_total counter {model}",
+        "neuro_model_dispatched_total counter {arm,model}",
+        "neuro_model_errors_total counter {model}",
+        "neuro_model_latency_us gauge {model,quantile}",
+        "neuro_model_resident gauge {model}",
+        "neuro_model_weight_bytes gauge {model}",
+        "neuro_server_accepted_total counter {}",
+        "neuro_server_batches_total counter {}",
+        "neuro_server_class_accepted_total counter {class}",
+        "neuro_server_class_codel_dropped_total counter {class}",
+        "neuro_server_class_deadline_dropped_total counter {class}",
+        "neuro_server_codel_dropped_total counter {}",
+        "neuro_server_completed_total counter {}",
+        "neuro_server_deadline_dropped_total counter {}",
+        "neuro_server_drop_state_entries_total counter {}",
+        "neuro_server_errors_total counter {}",
+        "neuro_server_feedback_dropped_total counter {}",
+        "neuro_server_latency_us gauge {quantile}",
+        "neuro_server_rejected_total counter {}",
+        "neuro_server_sojourn_us gauge {quantile}",
+        "neuro_server_throughput_rps gauge {}",
+        "neuro_server_weight_refreshes_total counter {}",
+    })) << text;
+
+    EXPECT_EQ(reply_keys(h.control("stats")), (std::set<std::string>{
+        "connections",
+        "connections[].bytes_in",
+        "connections[].bytes_out",
+        "connections[].control",
+        "connections[].fd",
+        "connections[].feedback_frames",
+        "connections[].frames_in",
+        "connections[].inflight",
+        "connections[].paused",
+        "connections[].responses_out",
+        "daemon",
+        "daemon.backpressure_pauses",
+        "daemon.bytes_in",
+        "daemon.bytes_out",
+        "daemon.connections_accepted",
+        "daemon.connections_open",
+        "daemon.control_commands",
+        "daemon.draining",
+        "daemon.feedback_frames",
+        "daemon.frames_in",
+        "daemon.inflight",
+        "daemon.malformed_closed",
+        "daemon.pinned_version",
+        "daemon.published_version",
+        "daemon.resident_bytes",
+        "daemon.responses_out",
+        "models",
+        "models[].base_dispatched",
+        "models[].base_errors",
+        "models[].base_ok",
+        "models[].base_version",
+        "models[].canary_dispatched",
+        "models[].canary_errors",
+        "models[].canary_ok",
+        "models[].canary_pct",
+        "models[].canary_version",
+        "models[].codel_dropped",
+        "models[].deadline_dropped",
+        "models[].evictions",
+        "models[].inflight",
+        "models[].last_used",
+        "models[].latency_count",
+        "models[].loads",
+        "models[].max_us",
+        "models[].mean_us",
+        "models[].name",
+        "models[].p50_us",
+        "models[].p95_us",
+        "models[].p99_us",
+        "models[].pinned",
+        "models[].resident",
+        "models[].weight_bytes",
+        "server",
+        "server.accepted",
+        "server.batches",
+        "server.class_accepted",
+        "server.class_codel_dropped",
+        "server.class_deadline_dropped",
+        "server.codel_dropped",
+        "server.completed",
+        "server.deadline_dropped",
+        "server.drop_state_entries",
+        "server.elapsed_s",
+        "server.errors",
+        "server.feedback_dropped",
+        "server.max_batch",
+        "server.max_us",
+        "server.mean_batch",
+        "server.mean_us",
+        "server.p50_us",
+        "server.p95_us",
+        "server.p99_us",
+        "server.peak_queue_depth",
+        "server.rejected",
+        "server.sojourn_max_us",
+        "server.sojourn_p50_us",
+        "server.sojourn_p95_us",
+        "server.sojourn_p99_us",
+        "server.throughput_rps",
+        "server.weight_refreshes",
+    }));
+    EXPECT_EQ(reply_keys(h.control("stats alpha")), (std::set<std::string>{
+        "base_dispatched",
+        "base_errors",
+        "base_ok",
+        "base_version",
+        "canary_dispatched",
+        "canary_errors",
+        "canary_ok",
+        "canary_pct",
+        "canary_version",
+        "codel_dropped",
+        "deadline_dropped",
+        "evictions",
+        "inflight",
+        "last_used",
+        "latency_count",
+        "loads",
+        "max_us",
+        "mean_us",
+        "name",
+        "p50_us",
+        "p95_us",
+        "p99_us",
+        "pinned",
+        "resident",
+        "weight_bytes",
+    }));
+    EXPECT_EQ(reply_keys(h.control("models")), (std::set<std::string>{
+        "[].base_dispatched",
+        "[].base_errors",
+        "[].base_ok",
+        "[].base_version",
+        "[].canary_dispatched",
+        "[].canary_errors",
+        "[].canary_ok",
+        "[].canary_pct",
+        "[].canary_version",
+        "[].codel_dropped",
+        "[].deadline_dropped",
+        "[].evictions",
+        "[].inflight",
+        "[].last_used",
+        "[].latency_count",
+        "[].loads",
+        "[].max_us",
+        "[].mean_us",
+        "[].name",
+        "[].p50_us",
+        "[].p95_us",
+        "[].p99_us",
+        "[].pinned",
+        "[].resident",
+        "[].weight_bytes",
+    }));
+    std::filesystem::remove_all(h.fleet_dir);
 }

@@ -24,8 +24,8 @@
 #include "online/registry.hpp"
 #include "runtime/compiled_model.hpp"
 #include "runtime/model_spec.hpp"
+#include "serve/admission.hpp"
 #include "serve/router.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 
 using namespace neuro;
@@ -163,8 +163,9 @@ TEST(Router, UnknownAndInvalidModelsRejectAtIntake) {
 }
 
 TEST(Router, ServerWrapperRejectsFleetNames) {
-    // A plain Server is a fleet of one: addressing any name through its
-    // unified SubmitOptions resolves UnknownModel, not a crash or a hang.
+    // A plain Server (a router without a fleet_dir) is a fleet of one:
+    // addressing any name through its unified SubmitOptions resolves
+    // UnknownModel, not a crash or a hang.
     serve::ServerOptions opt;
     serve::Server server(make_model(), opt);
     serve::SubmitOptions s;

@@ -1,10 +1,10 @@
 // Contract tests for neuro::serve (the async serving engine):
-//   * micro-batch coalescing semantics (collect_batch),
+//   * micro-batch coalescing semantics (collect_batch over the
+//     AdmissionQueue, the overload the online learner drains with),
 //   * batched serving bit-identical to sequential Session inference,
 //   * backpressure — Shed rejects deterministically, Block waits,
 //   * drain-on-shutdown completes every accepted request,
 //   * error isolation (a bad request doesn't take the worker down),
-//   * latency-histogram percentile math,
 //   * concurrent submitters (run under TSan in CI).
 
 #include <gtest/gtest.h>
@@ -15,17 +15,16 @@
 #include <thread>
 #include <vector>
 
-#include "common/bounded_queue.hpp"
 #include "common/tensor.hpp"
 #include "data/dataset.hpp"
 #include "runtime/compiled_model.hpp"
+#include "serve/admission.hpp"
 #include "serve/request.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 #include "serve/stats.hpp"
 
 using namespace neuro;
-using common::BoundedQueue;
+using serve::AdmissionQueue;
 
 namespace {
 
@@ -50,7 +49,7 @@ data::Dataset make_images(std::size_t n) {
 // ---- scheduler --------------------------------------------------------------
 
 TEST(Scheduler, FullBatchDispatchesWithoutWaitingOutTheDelay) {
-    BoundedQueue<int> q(16);
+    AdmissionQueue<int> q(16);
     for (int i = 0; i < 8; ++i) {
         int v = i;
         ASSERT_TRUE(q.push(v));
@@ -66,7 +65,7 @@ TEST(Scheduler, FullBatchDispatchesWithoutWaitingOutTheDelay) {
 }
 
 TEST(Scheduler, PartialBatchDispatchesOnDelayExpiry) {
-    BoundedQueue<int> q(16);
+    AdmissionQueue<int> q(16);
     for (int i = 0; i < 2; ++i) {
         int v = i;
         ASSERT_TRUE(q.push(v));
@@ -78,7 +77,7 @@ TEST(Scheduler, PartialBatchDispatchesOnDelayExpiry) {
 }
 
 TEST(Scheduler, MaxBatchOneNeverCoalesces) {
-    BoundedQueue<int> q(4);
+    AdmissionQueue<int> q(4);
     int v = 7;
     ASSERT_TRUE(q.push(v));
     v = 8;
@@ -90,7 +89,7 @@ TEST(Scheduler, MaxBatchOneNeverCoalesces) {
 }
 
 TEST(Scheduler, ClosedAndDrainedQueueEndsTheLoop) {
-    BoundedQueue<int> q(4);
+    AdmissionQueue<int> q(4);
     int v = 1;
     ASSERT_TRUE(q.push(v));
     q.close();
@@ -274,34 +273,6 @@ TEST(Server, BadRequestCompletesWithErrorAndWorkerSurvives) {
 }
 
 // ---- stats ------------------------------------------------------------------
-
-TEST(LatencyHistogram, PercentilesAreMonotoneAndTight) {
-    serve::LatencyHistogram h;
-    for (int us = 1; us <= 1000; ++us) h.record(static_cast<double>(us));
-    EXPECT_EQ(h.count(), 1000u);
-    EXPECT_DOUBLE_EQ(h.max_us(), 1000.0);
-    EXPECT_NEAR(h.mean_us(), 500.5, 1e-9);
-    const double p50 = h.percentile(0.50);
-    const double p95 = h.percentile(0.95);
-    const double p99 = h.percentile(0.99);
-    EXPECT_LE(p50, p95);
-    EXPECT_LE(p95, p99);
-    EXPECT_LE(p99, h.max_us());
-    // Upper-edge estimates err high by at most one sub-bucket (~6%).
-    EXPECT_GE(p50, 500.0);
-    EXPECT_LE(p50, 540.0);
-    EXPECT_GE(p99, 990.0);
-    // p100 clamps to the observed maximum.
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 1000.0);
-}
-
-TEST(LatencyHistogram, EmptyAndSubMicrosecond) {
-    serve::LatencyHistogram h;
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-    h.record(0.25);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_LE(h.percentile(0.5), 1.0);
-}
 
 TEST(Server, StatsInvariantsAfterLoad) {
     const auto model = make_model();

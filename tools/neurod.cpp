@@ -26,7 +26,6 @@
 #include "common/cli.hpp"
 #include "netd/daemon.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/registry.hpp"
 #include "obs/timer.hpp"
 #include "online/registry.hpp"
 #include "runtime/compiled_model.hpp"
@@ -96,18 +95,18 @@ int main(int argc, char** argv) {
     ropt.admission.feedback_capacity =
         static_cast<std::size_t>(cli.get_int("feedback_capacity", 0));
     ropt.fleet_dir = fleet_dir;
-    ropt.default_registry_dir = registry_dir;
+    ropt.registry_dir = registry_dir;
     ropt.resident_budget_bytes =
         static_cast<std::size_t>(cli.get_int("budget_mb", 0)) * (1u << 20);
 
     // Observability (docs/ARCHITECTURE.md §14): the process-lifetime
-    // default registry/recorder back the control socket's `metrics` and
-    // `events` commands; --slow_request_us arms the slow-request log
-    // (0 disables), --timing enables the obs::Timer instrumentation.
+    // default recorder backs the control socket's `events` command (the
+    // `metrics` scrape needs no wiring); --slow_request_us arms the
+    // slow-request log (0 disables), --timing enables the obs::Timer
+    // instrumentation.
     ropt.recorder = &obs::default_recorder();
     ropt.slow_request_us =
         static_cast<std::uint64_t>(cli.get_int("slow_request_us", 0));
-    dopt.metrics = &obs::default_registry();
     obs::set_timing(cli.get_bool("timing", false));
 
     const auto side = static_cast<std::size_t>(cli.get_int("side", 16));
