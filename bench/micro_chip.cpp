@@ -8,11 +8,10 @@
 //              phase is measured in isolation from the sweep)
 //
 // Rows compare the scalar reference kernels against the SIMD lane kernels
-// (Chip::set_vector_sweep) on the same network; the sparse active-set row
-// rides along for context. Before timing anything the bench verifies that
-// all four sweep-mode combinations produce bit-identical spike counts and
-// ActivityTotals on an active workload — a perf number for a kernel that
-// drifted semantically would be meaningless.
+// (Chip::set_vector_sweep) on the same network. Before timing anything the
+// bench verifies that both kernel modes produce bit-identical spike counts
+// and ActivityTotals on an active workload — a perf number for a kernel
+// that drifted semantically would be meaningless.
 //
 // CI gates the simd row of both phases via
 // tools/check_bench_regression.py --only micro_chip (lower is better,
@@ -85,24 +84,21 @@ struct PhaseResult {
 };
 
 PhaseResult measure_once(std::size_t n, std::size_t steps, std::size_t spikes,
-                         bool sparse, bool simd) {
+                         bool simd) {
     Chip chip = make_chip(n);
-    chip.set_sparse_sweep(sparse);
     chip.set_vector_sweep(simd);
 
     PhaseResult out;
 
     // ---- sweep phase: quiet chip, pure membrane pass ----------------------
-    chip.run(steps / 4);  // warm caches and settle the sparse active list
+    chip.run(steps / 4);  // warm caches
     chip.reset_activity();
     const auto t0 = std::chrono::steady_clock::now();
     chip.run(steps);
     const double sweep_s = seconds_since(t0);
     const auto& a1 = chip.activity();
-    // compartment_updates counts every eligible compartment per step in all
-    // modes (the sparse sweep accounts skipped units in bulk), so the
-    // denominator is mode-invariant and the sparse row's ns-per-accounted-
-    // compartment shows exactly what the active-set skip buys.
+    // compartment_updates counts every live, phase-active compartment per
+    // step in both kernel modes, so the denominator is mode-invariant.
     out.sweep_ns_per_compartment =
         a1.compartment_updates == 0
             ? 0.0
@@ -132,10 +128,10 @@ PhaseResult measure_once(std::size_t n, std::size_t steps, std::size_t spikes,
 /// runners are shared machines, and the gate compares per-phase *ratios*,
 /// which a single preempted rep would skew by 2x or more).
 PhaseResult measure(std::size_t n, std::size_t steps, std::size_t spikes,
-                    std::size_t reps, bool sparse, bool simd) {
-    PhaseResult best = measure_once(n, steps, spikes, sparse, simd);
+                    std::size_t reps, bool simd) {
+    PhaseResult best = measure_once(n, steps, spikes, simd);
     for (std::size_t r = 1; r < reps; ++r) {
-        const PhaseResult cur = measure_once(n, steps, spikes, sparse, simd);
+        const PhaseResult cur = measure_once(n, steps, spikes, simd);
         best.sweep_ns_per_compartment =
             std::min(best.sweep_ns_per_compartment, cur.sweep_ns_per_compartment);
         best.accum_ns_per_event =
@@ -144,57 +140,46 @@ PhaseResult measure(std::size_t n, std::size_t steps, std::size_t spikes,
     return best;
 }
 
-/// Bit-identity cross-check of all four sweep modes on an active workload:
-/// biases drive the sources, spikes cascade through the projection. Returns
-/// false (and prints the discrepancy) if any mode diverges.
+/// Bit-identity cross-check of the scalar and simd kernels on an active
+/// workload: biases drive the sources, spikes cascade through the
+/// projection. Returns false (and prints the discrepancy) if they diverge.
 bool verify_modes(std::size_t steps) {
     struct Snapshot {
         std::vector<std::int32_t> src_counts, dst_counts;
         ActivityTotals totals{};
     };
-    std::vector<Snapshot> snaps;
-    std::vector<std::string> names;
-    for (const bool sparse : {false, true}) {
-        for (const bool simd : {false, true}) {
-            Chip chip = make_chip(256);
-            chip.set_sparse_sweep(sparse);
-            chip.set_vector_sweep(simd);
-            std::vector<std::int32_t> bias(256);
-            common::Rng rng(7);
-            for (auto& b : bias)
-                b = static_cast<std::int32_t>(rng.uniform_int(0, 48));
-            chip.set_bias(0, bias);
-            chip.run(steps);
-            Snapshot s;
-            s.src_counts = chip.spike_counts_total(0);
-            s.dst_counts = chip.spike_counts_total(1);
-            s.totals = chip.activity();
-            snaps.push_back(std::move(s));
-            names.push_back(std::string(sparse ? "sparse" : "dense") + "+" +
-                            (simd ? "simd" : "scalar"));
-        }
+    const auto run = [steps](bool simd) {
+        Chip chip = make_chip(256);
+        chip.set_vector_sweep(simd);
+        std::vector<std::int32_t> bias(256);
+        common::Rng rng(7);
+        for (auto& b : bias)
+            b = static_cast<std::int32_t>(rng.uniform_int(0, 48));
+        chip.set_bias(0, bias);
+        chip.run(steps);
+        Snapshot s;
+        s.src_counts = chip.spike_counts_total(0);
+        s.dst_counts = chip.spike_counts_total(1);
+        s.totals = chip.activity();
+        return s;
+    };
+    const Snapshot a = run(false);
+    const Snapshot b = run(true);
+    const bool same =
+        a.src_counts == b.src_counts && a.dst_counts == b.dst_counts &&
+        a.totals.steps == b.totals.steps &&
+        a.totals.compartment_updates == b.totals.compartment_updates &&
+        a.totals.synaptic_ops == b.totals.synaptic_ops &&
+        a.totals.spikes == b.totals.spikes &&
+        a.totals.host_io_writes == b.totals.host_io_writes;
+    if (!same) {
+        std::printf("BIT-IDENTITY FAILURE: simd diverges from scalar\n");
+        std::printf("  spikes %" PRIu64 " vs %" PRIu64 ", synops %" PRIu64
+                    " vs %" PRIu64 "\n",
+                    b.totals.spikes, a.totals.spikes,
+                    b.totals.synaptic_ops, a.totals.synaptic_ops);
     }
-    for (std::size_t i = 1; i < snaps.size(); ++i) {
-        const auto& a = snaps[0];
-        const auto& b = snaps[i];
-        const bool same =
-            a.src_counts == b.src_counts && a.dst_counts == b.dst_counts &&
-            a.totals.steps == b.totals.steps &&
-            a.totals.compartment_updates == b.totals.compartment_updates &&
-            a.totals.synaptic_ops == b.totals.synaptic_ops &&
-            a.totals.spikes == b.totals.spikes &&
-            a.totals.host_io_writes == b.totals.host_io_writes;
-        if (!same) {
-            std::printf("BIT-IDENTITY FAILURE: %s diverges from %s\n",
-                        names[i].c_str(), names[0].c_str());
-            std::printf("  spikes %" PRIu64 " vs %" PRIu64 ", synops %" PRIu64
-                        " vs %" PRIu64 "\n",
-                        b.totals.spikes, a.totals.spikes,
-                        b.totals.synaptic_ops, a.totals.synaptic_ops);
-            return false;
-        }
-    }
-    return true;
+    return same;
 }
 
 }  // namespace
@@ -220,7 +205,7 @@ int main(int argc, char** argv) {
             " sweep steps, " + std::to_string(spikes) + " inserted spikes");
 
     if (!verify_modes(64)) return 1;
-    std::printf("bit-identity across dense/sparse x scalar/simd: ok\n\n");
+    std::printf("bit-identity scalar == simd: ok\n\n");
 
     common::Table table({"config", "sweep ns/comp", "accum ns/event",
                          "spikes", "synaptic events"});
@@ -231,16 +216,15 @@ int main(int argc, char** argv) {
 
     struct Mode {
         const char* name;
-        bool sparse;
         bool simd;
     };
+    // The names are the committed baseline's row keys.
     const Mode modes[] = {
-        {"dense, scalar", false, false},
-        {"dense, simd", false, true},
-        {"sparse, simd", true, true},
+        {"dense, scalar", false},
+        {"dense, simd", true},
     };
     for (const Mode& m : modes) {
-        const PhaseResult r = measure(n, steps, spikes, reps, m.sparse, m.simd);
+        const PhaseResult r = measure(n, steps, spikes, reps, m.simd);
         table.add_row(
             {m.name, common::Table::fmt(r.sweep_ns_per_compartment, 3),
              common::Table::fmt(r.accum_ns_per_event, 3),
@@ -258,7 +242,6 @@ int main(int argc, char** argv) {
 
     bench::footnote(
         "CI gates the simd row of both phases (lower is better, normalized "
-        "by the same-run scalar row); the sparse row is context only — its "
-        "win depends on workload quiescence, not kernel layout.");
+        "by the same-run scalar row).");
     return 0;
 }

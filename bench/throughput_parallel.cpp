@@ -2,11 +2,10 @@
 // online trainer (not a paper figure — this gates the scaling work of the
 // ROADMAP north star).
 //
-// Three questions, answered on the synthetic-digits workload:
-//   1. What does the sparse active-set step loop buy over the dense
-//      reference sweep for the serial trainer?
-//   2. How does ParallelTrainer's samples/sec scale with worker threads?
-//   3. Does the batched path stay bit-identical across thread counts while
+// Two questions, answered on the synthetic-digits workload:
+//   1. How does ParallelTrainer's samples/sec scale with worker threads,
+//      against the serial trainer?
+//   2. Does the batched path stay bit-identical across thread counts while
 //      doing so (spot-checked here; proven in parallel_trainer_test)?
 //
 // Note the speedup ceiling is min(threads, hardware cores): on a 1-core
@@ -57,7 +56,7 @@ int main(int argc, char** argv) {
         std::max(8u, std::thread::hardware_concurrency())));
 
     bench::banner(
-        "Training throughput — replicated chips + sparse step loop",
+        "Training throughput — replicated chips + session serving",
         "scaling engineering on top of Operation Flow 1 (no paper figure)",
         std::to_string(samples) + " samples/epoch, " + std::to_string(side) +
             "x" + std::to_string(side) + " digits, dense stack 100-10, batch " +
@@ -72,8 +71,7 @@ int main(int argc, char** argv) {
     gen.width = side;
     const auto train = data::make_digits(gen);
 
-    common::Table table({"configuration", "samples/sec", "vs serial dense",
-                         "vs serial sparse"});
+    common::Table table({"configuration", "samples/sec", "vs serial dense"});
     common::CsvWriter csv(bench::kCsvDir, "throughput_parallel",
                           {"config", "threads", "samples_per_sec"});
     bench::JsonWriter json(bench::kCsvDir, "throughput_parallel",
@@ -84,24 +82,18 @@ int main(int argc, char** argv) {
         json.add_row({config, std::to_string(threads), std::to_string(rate)});
     };
 
-    // ---- serial baselines: dense sweep, then sparse sweep ------------------
+    // ---- serial baseline (the row name is the gate's normalization key) ---
     double serial_dense = 0.0;
-    double serial_sparse = 0.0;
-    for (const bool sparse : {false, true}) {
+    {
         auto net = make_net(side, 7);
-        net.chip().set_sparse_sweep(sparse);
         common::Rng rng(42);
         const auto t0 = std::chrono::steady_clock::now();
         core::train_epoch(net, train, rng);
-        const double rate = static_cast<double>(train.size()) / seconds_since(t0);
-        (sparse ? serial_sparse : serial_dense) = rate;
-        const std::string name =
-            sparse ? "serial, sparse sweep" : "serial, dense sweep";
-        table.add_row({name, common::Table::fmt(rate, 1),
-                       common::Table::fmt(rate / serial_dense, 2) + "x",
-                       sparse ? "1.00x" : "-"});
-        record(name, 1, rate);
-        std::printf("%-28s %8.1f samples/sec\n", name.c_str(), rate);
+        serial_dense = static_cast<double>(train.size()) / seconds_since(t0);
+        const std::string name = "serial, dense sweep";
+        table.add_row({name, common::Table::fmt(serial_dense, 1), "1.00x"});
+        record(name, 1, serial_dense);
+        std::printf("%-28s %8.1f samples/sec\n", name.c_str(), serial_dense);
         std::fflush(stdout);
     }
 
@@ -127,71 +119,58 @@ int main(int argc, char** argv) {
                                  (threads == 1 ? "" : "s");
         table.add_row({name + (identical ? "" : "  [WEIGHTS DIVERGED]"),
                        common::Table::fmt(rate, 1),
-                       common::Table::fmt(rate / serial_dense, 2) + "x",
-                       common::Table::fmt(rate / serial_sparse, 2) + "x"});
+                       common::Table::fmt(rate / serial_dense, 2) + "x"});
         record(name, threads, rate);
         std::printf("%-28s %8.1f samples/sec%s\n", name.c_str(), rate,
                     identical ? "" : "  [WEIGHTS DIVERGED]");
         std::fflush(stdout);
     }
 
-    // ---- sparse sweep on a large, quiet chip -------------------------------
+    // ---- sweep on a large, quiet chip --------------------------------------
     // The digits workload above is delivery-dominated (dense projections:
-    // every input spike fans out to the whole hidden layer), so the sweep
-    // strategy barely shows. This section isolates the sweep term: a
-    // 16k-compartment chip with 2% of neurons driven and 8-synapse fanout —
-    // the regime of event-driven workloads — where the dense sweep pays
-    // O(compartments) per step and the active list pays O(traffic).
+    // every input spike fans out to the whole hidden layer). This section
+    // isolates the sweep term: a 16k-compartment chip with 2% of neurons
+    // driven and 8-synapse fanout — the regime of event-driven workloads —
+    // where every step pays O(compartments) in the lane kernels.
     {
-        const auto make_quiet = [](bool sparse) {
-            loihi::Chip chip;
-            loihi::PopulationConfig src;
-            src.name = "src";
-            src.size = 8192;
-            src.compartment.vth = 64;
-            const auto s = chip.add_population(src);
-            loihi::PopulationConfig dst;
-            dst.name = "dst";
-            dst.size = 8192;
-            dst.compartment.vth = 256;
-            chip.add_population(dst);
-            common::Rng rng(99);
-            std::vector<loihi::Synapse> syns;
-            syns.reserve(8192 * 8);
-            for (std::uint32_t i = 0; i < 8192; ++i)
-                for (int k = 0; k < 8; ++k)
-                    syns.push_back(
-                        {i,
-                         static_cast<std::uint32_t>(rng.uniform_int(0, 8191)),
-                         static_cast<std::int32_t>(rng.uniform_int(-64, 64))});
-            loihi::ProjectionConfig pr;
-            pr.name = "p";
-            pr.src = s;
-            pr.dst = 1;
-            chip.add_projection(pr, std::move(syns));
-            chip.finalize();
-            chip.set_sparse_sweep(sparse);
-            std::vector<std::int32_t> bias(8192, 0);
-            for (auto& b : bias)
-                if (rng.bernoulli(0.02)) b = 20;
-            chip.set_bias(s, bias);
-            return chip;
-        };
-        double dense_rate = 0.0;
-        for (const bool sparse : {false, true}) {
-            auto chip = make_quiet(sparse);
-            const auto t0 = std::chrono::steady_clock::now();
-            chip.run(1000);
-            const double rate = 1000.0 / seconds_since(t0);
-            if (!sparse) dense_rate = rate;
-            const std::string name = sparse ? "quiet 16k-comp chip, sparse"
-                                            : "quiet 16k-comp chip, dense";
-            table.add_row({name, common::Table::fmt(rate, 0) + " steps/s",
-                           common::Table::fmt(rate / dense_rate, 2) + "x", "-"});
-            record(name, 1, rate);
-            std::printf("%-28s %8.0f steps/sec\n", name.c_str(), rate);
-            std::fflush(stdout);
-        }
+        loihi::Chip chip;
+        loihi::PopulationConfig src;
+        src.name = "src";
+        src.size = 8192;
+        src.compartment.vth = 64;
+        const auto s = chip.add_population(src);
+        loihi::PopulationConfig dst;
+        dst.name = "dst";
+        dst.size = 8192;
+        dst.compartment.vth = 256;
+        chip.add_population(dst);
+        common::Rng rng(99);
+        std::vector<loihi::Synapse> syns;
+        syns.reserve(8192 * 8);
+        for (std::uint32_t i = 0; i < 8192; ++i)
+            for (int k = 0; k < 8; ++k)
+                syns.push_back(
+                    {i,
+                     static_cast<std::uint32_t>(rng.uniform_int(0, 8191)),
+                     static_cast<std::int32_t>(rng.uniform_int(-64, 64))});
+        loihi::ProjectionConfig pr;
+        pr.name = "p";
+        pr.src = s;
+        pr.dst = 1;
+        chip.add_projection(pr, std::move(syns));
+        chip.finalize();
+        std::vector<std::int32_t> bias(8192, 0);
+        for (auto& b : bias)
+            if (rng.bernoulli(0.02)) b = 20;
+        chip.set_bias(s, bias);
+        const auto t0 = std::chrono::steady_clock::now();
+        chip.run(1000);
+        const double rate = 1000.0 / seconds_since(t0);
+        const std::string name = "quiet 16k-comp chip, dense";
+        table.add_row({name, common::Table::fmt(rate, 0) + " steps/s", "-"});
+        record(name, 1, rate);
+        std::printf("%-28s %8.0f steps/sec\n", name.c_str(), rate);
+        std::fflush(stdout);
     }
 
     // ---- inference serving: runtime sessions over one CompiledModel --------
@@ -226,8 +205,8 @@ int main(int argc, char** argv) {
             const std::string name = "serve, " + std::to_string(threads) +
                                      " session" + (threads == 1 ? "" : "s");
             table.add_row({name, common::Table::fmt(rate, 1),
-                           common::Table::fmt(rate / serve_1, 2) + "x vs 1",
-                           common::Table::fmt(open_ms, 2) + " ms open"});
+                           common::Table::fmt(rate / serve_1, 2) + "x vs 1, " +
+                               common::Table::fmt(open_ms, 2) + " ms open"});
             record(name, threads, rate);
             std::printf("%-28s %8.1f predictions/sec (%.2f ms to open)\n",
                         name.c_str(), rate, open_ms);

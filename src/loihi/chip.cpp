@@ -14,7 +14,7 @@ namespace neuro::loihi {
 
 namespace {
 
-// ---- vector kernels of the dense sweep --------------------------------------
+// ---- vector kernels of the sweep --------------------------------------------
 // Free functions over restrict-qualified lane pointers so the compiler can
 // prove the lanes disjoint and autovectorize (this TU is built -O3 with a
 // SIMD baseline arch, see NEURO_KERNEL_ARCH in CMakeLists.txt; the tagged
@@ -318,14 +318,12 @@ void Chip::finalize() {
         rules_[pi] = s_->projs[pi].cfg.rule;
 
     // ---- sweep bookkeeping -------------------------------------------------
-    s_->pop_has_decay.assign(s_->pops.size(), 0);
     s_->pop_vec_ok.assign(s_->pops.size(), 0);
     for (std::size_t pi = 0; pi < s_->pops.size(); ++pi) {
         const CompartmentConfig& cfg = s_->pops[pi].cfg.compartment;
         const bool decays = cfg.pre_trace.decay != 0 || cfg.post_trace.decay != 0 ||
                             cfg.pre_trace2.decay != 0 ||
                             cfg.post_trace2.decay != 0 || cfg.tag_trace.decay != 0;
-        s_->pop_has_decay[pi] = decays ? 1 : 0;
         // Vector-sweep kind: 0 = scalar only, 1 = plain lanes, 2/3 = IF
         // lanes with a GatedAdd/Add aux join. Decaying traces force scalar
         // order (they draw from the shared rounding RNG per compartment);
@@ -353,14 +351,6 @@ void Chip::finalize() {
     pop_dead_.assign(s_->pops.size(), 0);
     for (std::size_t c = 0; c < bank_.size(); ++c)
         if (dead_[c] != 0) ++pop_dead_[s_->pop_of[c]];
-    eligible_phase1_ = eligible_phase2_ = 0;
-    for (std::size_t c = 0; c < bank_.size(); ++c) {
-        if (dead_[c] != 0) continue;
-        ++eligible_phase2_;
-        if (s_->pops[s_->pop_of[c]].cfg.compartment.active_in_phase1)
-            ++eligible_phase1_;
-    }
-    wake_all();
 
     finalized_ = true;
 }
@@ -372,10 +362,6 @@ void Chip::set_bias(PopulationId pop, const std::vector<std::int32_t>& bias) {
                                     s_->pops[pop].cfg.name);
     const CompartmentId base = s_->pops[pop].first;
     for (std::size_t i = 0; i < bias.size(); ++i) bank_.bias[base + i] = bias[i];
-    // A bias write can turn a dormant compartment live; clearing one to zero
-    // never invalidates dormancy, so clear_bias needs no wake.
-    if (finalized_ && sparse_)
-        for (std::size_t i = 0; i < bias.size(); ++i) wake(base + i);
     activity_.host_io_writes += bias.size();
 }
 
@@ -438,36 +424,6 @@ void Chip::deliver_span(std::size_t b, std::size_t e) {
             bank_.pending_soma[entry.dst] += eff[k];
         else
             bank_.pending_aux[entry.dst] += eff[k];
-        // Sleeping targets must rejoin the sweep (dense mode keeps every
-        // flag at 1, so it skips the test altogether).
-        if (sparse_ && !bank_.awake.get(entry.dst)) {
-            bank_.awake.set(entry.dst);
-            wake_buf_.push_back(entry.dst);
-        }
-    }
-}
-
-void Chip::wake_range(std::size_t d0, std::size_t len) {
-    std::uint64_t* words = bank_.awake.words();
-    std::size_t i = d0;
-    const std::size_t e = d0 + len;
-    while (i < e) {
-        const std::size_t wi = i >> 6;
-        const std::size_t lo = i & 63;
-        const std::size_t hi = std::min<std::size_t>(64, lo + (e - i));
-        const std::uint64_t upper =
-            hi == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << hi) - 1;
-        std::uint64_t missing =
-            upper & ~((std::uint64_t{1} << lo) - 1) & ~words[wi];
-        if (missing != 0) {
-            words[wi] |= missing;
-            while (missing != 0) {
-                wake_buf_.push_back(static_cast<std::uint32_t>(
-                    (wi << 6) + std::countr_zero(missing)));
-                missing &= missing - 1;
-            }
-        }
-        i = (wi << 6) + hi;
     }
 }
 
@@ -489,9 +445,6 @@ void Chip::deliver(CompartmentId src) {
                 const std::size_t len = run.len;
                 // NEURO_VEC_HOT: batched synaptic accumulation over one run
                 for (std::size_t j = 0; j < len; ++j) p[j] += w[j];
-                // Dense mode keeps every awake flag at 1 (only the sparse
-                // sweep clears them), so the wake scan is skipped entirely.
-                if (sparse_) wake_range(run.dst0, len);
             } else {
                 deliver_span(run.slot0, run.slot0 + run.len);
             }
@@ -514,22 +467,44 @@ void Chip::step() {
             bank_.pending_soma[d.dst] += d.weight;
         else
             bank_.pending_aux[d.dst] += d.weight;
-        if (sparse_) wake(d.dst);
     }
     due.clear();
 
-    if (sparse_)
-        step_sparse();
-    else
-        step_dense();
+    // Pass 1: every population, in ascending order (the trace-decay RNG
+    // stream depends on it). Phase timers wrap whole passes — never the
+    // tagged vector loops — so the clock reads stay out of autovectorized
+    // code (two reads per pass when enabled, one relaxed load when not).
+    {
+        obs::Timer t(phase_times_.sweep_ns);
+        for (PopulationId p = 0; p < s_->pops.size(); ++p) {
+            const Population& pop = s_->pops[p];
+            const std::size_t b = pop.first;
+            const std::size_t e = b + pop.cfg.size;
+            if (vector_sweep_ && s_->pop_vec_ok[p] != 0 && pop_dead_[p] == 0)
+                sweep_pop_vector(p, b, e);
+            else
+                for (std::size_t c = b; c < e; ++c) step_compartment(c);
+        }
+    }
+    // Pass 2: deliver this step's spikes (visible at the next step), in
+    // ascending compartment order via the packed spike bitset.
+    obs::Timer t(phase_times_.accum_ns);
+    const std::uint64_t* words = bank_.spiked.words();
+    const std::size_t nw = bank_.spiked.word_count();
+    for (std::size_t wi = 0; wi < nw; ++wi) {
+        std::uint64_t bits = words[wi];
+        while (bits != 0) {
+            deliver((wi << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
+            bits &= bits - 1;
+        }
+    }
 }
 
 // Pass 1 physics of one compartment: integrate and decide the spike.
 // Deliveries are queued in pass 2 so the step is order-independent
 // (one-step synaptic latency, as on silicon where spikes propagate between
-// timestep barriers). `count_update` is false under the sparse sweep, which
-// accounts compartment_updates in bulk instead.
-void Chip::step_compartment(CompartmentId c, bool count_update) {
+// timestep barriers).
+void Chip::step_compartment(CompartmentId c) {
     const CompartmentConfig& cfg = s_->pops[s_->pop_of[c]].cfg.compartment;
     bank_.spiked.clear(c);
 
@@ -560,7 +535,7 @@ void Chip::step_compartment(CompartmentId c, bool count_update) {
         return;
     }
 
-    if (count_update) ++activity_.compartment_updates;
+    ++activity_.compartment_updates;
 
     const std::int64_t u =
         common::decay12(bank_.u[c], cfg.decay_u) + bank_.pending_soma[c];
@@ -613,9 +588,8 @@ void Chip::step_compartment(CompartmentId c, bool count_update) {
 }
 
 void Chip::fire_compartment(CompartmentId c, const CompartmentConfig& cfg) {
-    // Vector-path and fast-visit populations never use JoinOp::AndAuxActive,
-    // so the aux gate is always open and every threshold crossing is an
-    // emitted spike.
+    // Vector-path populations never use JoinOp::AndAuxActive, so the aux
+    // gate is always open and every threshold crossing is an emitted spike.
     const std::int64_t vth_eff = vth_eff_[c];
     if (cfg.soft_reset)
         bank_.v[c] -= vth_eff;
@@ -760,229 +734,6 @@ void Chip::fire_epilogue(std::size_t b, std::size_t e,
     }
 }
 
-void Chip::step_dense() {
-    // Phase timers wrap whole passes — never the NEURO_VEC_HOT loops — so
-    // the clock reads stay out of autovectorized code (two reads per pass
-    // when enabled, one relaxed load when not).
-    {
-        obs::Timer t(phase_times_.sweep_ns);
-        for (PopulationId p = 0; p < s_->pops.size(); ++p) {
-            const Population& pop = s_->pops[p];
-            const std::size_t b = pop.first;
-            const std::size_t e = b + pop.cfg.size;
-            if (vector_sweep_ && s_->pop_vec_ok[p] != 0 && pop_dead_[p] == 0)
-                sweep_pop_vector(p, b, e);
-            else
-                for (std::size_t c = b; c < e; ++c)
-                    step_compartment(c, /*count_update=*/true);
-        }
-    }
-    // Pass 2: deliver this step's spikes (visible at the next step), in
-    // ascending compartment order via the packed spike bitset.
-    obs::Timer t(phase_times_.accum_ns);
-    const std::uint64_t* words = bank_.spiked.words();
-    const std::size_t nw = bank_.spiked.word_count();
-    for (std::size_t wi = 0; wi < nw; ++wi) {
-        std::uint64_t bits = words[wi];
-        while (bits != 0) {
-            deliver((wi << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
-            bits &= bits - 1;
-        }
-    }
-}
-
-// Fused sparse visit: the exact arithmetic of step_compartment followed by
-// the exact predicate of can_sleep, on values still in registers. Callers
-// guarantee the population has no decaying traces (so no trace ticks and no
-// RNG draws), no AndAuxActive gate and no dead units. Returns true when the
-// compartment may leave the active list.
-bool Chip::sparse_visit_fast(CompartmentId c, const CompartmentConfig& cfg,
-                             bool frozen) {
-    bank_.spiked.clear(c);
-    std::int64_t aux;
-    if (cfg.join != JoinOp::None) {
-        aux = bank_.pending_aux[c];
-        bank_.pending_aux[c] = 0;
-        bank_.aux_current[c] = aux;
-    } else {
-        // Never written for unjoined compartments, but can_sleep reads it.
-        aux = bank_.aux_current[c];
-    }
-    const std::int64_t bias = bank_.bias[c];
-
-    if (frozen) {
-        bank_.pending_soma[c] = 0;
-        if (bias != 0 || bank_.u[c] != 0 || aux != 0 ||
-            bank_.refractory_left[c] != 0)
-            return false;
-        const std::int64_t v = bank_.v[c];
-        if (v != 0) {
-            if (cfg.decay_v != 0) return false;
-            if (cfg.floor_at_zero && v < 0) return false;
-            if (v >= vth_eff_[c]) return false;
-        }
-        return true;
-    }
-
-    const std::int64_t u =
-        common::decay12(bank_.u[c], cfg.decay_u) + bank_.pending_soma[c];
-    bank_.u[c] = u;
-    bank_.pending_soma[c] = 0;
-
-    std::int64_t drive = u + bias;
-    if ((cfg.join == JoinOp::GatedAdd && bank_.spikes_phase1[c] > 0) ||
-        cfg.join == JoinOp::Add)
-        drive += aux;
-    std::int64_t v = common::decay12(bank_.v[c], cfg.decay_v) + drive;
-    if (cfg.floor_at_zero && v < 0) v = 0;
-    bank_.v[c] = v;
-
-    std::int32_t refr = bank_.refractory_left[c];
-    if (refr > 0) {
-        bank_.refractory_left[c] = --refr;
-    } else if (v >= vth_eff_[c]) {
-        fire_compartment(c, cfg);
-        return false;
-    }
-    if (bias != 0 || u != 0 || aux != 0 || refr != 0) return false;
-    if (v != 0) {
-        if (cfg.decay_v != 0) return false;
-        if (cfg.floor_at_zero && v < 0) return false;
-        if (v >= vth_eff_[c]) return false;
-    }
-    return true;
-}
-
-void Chip::step_sparse() {
-    obs::Timer sweep_timer(phase_times_.sweep_ns);
-    merge_wakes();
-
-    // The dense sweep counts an update for every non-dead compartment that
-    // is not phase-gated off, whether or not anything changed; account the
-    // skipped ones in bulk so the energy model sees identical totals.
-    activity_.compartment_updates +=
-        phase_ == Phase::One ? eligible_phase1_ : eligible_phase2_;
-
-    // The list is sorted ascending, so per-population flags are hoisted at
-    // population boundaries instead of re-derived per compartment.
-    // Populations whose visit needs no RNG, no sticky aux gate and no dead
-    // handling take a fused visit + sleep-check fast path that keeps the
-    // update's operands in registers (same arithmetic as step_compartment
-    // followed by the same predicate as can_sleep).
-    const bool phase1 = phase_ == Phase::One;
-    std::size_t pop_end = 0;
-    const CompartmentConfig* cfg = nullptr;
-    bool fast = false;
-    bool frozen = false;
-    std::size_t keep = 0;
-    for (std::size_t r = 0; r < active_list_.size(); ++r) {
-        const std::uint32_t c = active_list_[r];
-        if (c >= pop_end) {
-            const PopulationId p = s_->pop_of[c];
-            const Population& pop = s_->pops[p];
-            pop_end = pop.first + pop.cfg.size;
-            cfg = &pop.cfg.compartment;
-            frozen = phase1 && !cfg->active_in_phase1;
-            fast = vector_sweep_ && s_->pop_has_decay[p] == 0 &&
-                   cfg->join != JoinOp::AndAuxActive && pop_dead_[p] == 0;
-        }
-        bool sleep;
-        if (fast) {
-            sleep = sparse_visit_fast(c, *cfg, frozen);
-        } else {
-            step_compartment(c, /*count_update=*/false);
-            sleep = can_sleep(c);
-        }
-        if (sleep)
-            bank_.awake.clear(c);
-        else
-            active_list_[keep++] = c;
-    }
-    active_list_.resize(keep);
-    sweep_timer.stop();
-
-    // Pass 2: deliver this step's spikes; deliver() re-wakes the targets
-    // for the next step. Only surviving list members can have spiked.
-    obs::Timer accum_timer(phase_times_.accum_ns);
-    for (std::size_t r = 0; r < keep; ++r) {
-        const std::uint32_t c = active_list_[r];
-        if (bank_.spiked.get(c)) deliver(c);
-    }
-}
-
-void Chip::wake(CompartmentId c) {
-    if (!bank_.awake.get(c)) {
-        bank_.awake.set(c);
-        wake_buf_.push_back(static_cast<std::uint32_t>(c));
-    }
-}
-
-void Chip::wake_all() {
-    active_list_.resize(bank_.size());
-    for (std::size_t c = 0; c < bank_.size(); ++c)
-        active_list_[c] = static_cast<std::uint32_t>(c);
-    bank_.awake.fill(true);
-    wake_buf_.clear();
-}
-
-void Chip::merge_wakes() {
-    if (wake_buf_.empty()) return;
-    std::sort(wake_buf_.begin(), wake_buf_.end());
-    // Allocation-free backward two-pointer merge of the sorted wake buffer
-    // into the sorted active list (this runs every step; std::inplace_merge
-    // would grab a temporary buffer each time).
-    std::size_t i = active_list_.size();
-    std::size_t j = wake_buf_.size();
-    active_list_.resize(i + j);
-    std::size_t k = active_list_.size();
-    while (j > 0) {
-        if (i > 0 && active_list_[i - 1] > wake_buf_[j - 1])
-            active_list_[--k] = active_list_[--i];
-        else
-            active_list_[--k] = wake_buf_[--j];
-    }
-    wake_buf_.clear();
-}
-
-// True when the next visits to `c` are guaranteed no-ops, so the sweep may
-// drop it until an external event (delivery, host write) wakes it again.
-// Evaluated *after* step_compartment, and deliberately phase-independent:
-// a compartment put to sleep stays correct across set_phase() flips.
-bool Chip::can_sleep(CompartmentId c) const {
-    // A dead unit only ever sinks pending input, which the visit above has
-    // just cleared; it never ticks traces or consumes RNG.
-    if (dead_[c] != 0) return true;
-    // A decaying trace evolves — and draws from the shared rounding RNG —
-    // every step, so these compartments must be visited in dense order.
-    if (s_->pop_has_decay[s_->pop_of[c]] != 0) return false;
-    if (bank_.spiked.get(c)) return false;  // must clear and deliver next step
-    if (bank_.pending_soma[c] != 0) return false;
-    if (bank_.bias[c] != 0) return false;
-    if (bank_.u[c] != 0) return false;
-    if (bank_.aux_current[c] != 0) return false;
-    if (bank_.refractory_left[c] != 0) return false;
-    const CompartmentConfig& cfg = s_->pops[s_->pop_of[c]].cfg.compartment;
-    // Joined neurons consume pending_aux each visit; unjoined ones never
-    // read it, so a residual value there cannot change anything.
-    if (cfg.join != JoinOp::None && bank_.pending_aux[c] != 0) return false;
-    const std::int64_t v = bank_.v[c];
-    if (v != 0) {
-        if (cfg.decay_v != 0) return false;               // v still decaying
-        if (cfg.floor_at_zero && v < 0) return false;     // would clamp
-        if (v >= vth_eff_[c]) return false;               // would keep spiking
-    }
-    return true;
-}
-
-void Chip::set_sparse_sweep(bool enabled) {
-    if (enabled == sparse_) return;
-    sparse_ = enabled;
-    // Either direction re-arms the full list: the dense sweep relies on
-    // every awake flag being 1 (so deliveries never queue wakes), and the
-    // sparse sweep must start from a complete list.
-    if (finalized_) wake_all();
-}
-
 void Chip::run(std::size_t steps) {
     for (std::size_t i = 0; i < steps; ++i) step();
 }
@@ -1056,13 +807,10 @@ void Chip::set_threshold_offset(PopulationId pop, std::size_t idx,
                                 std::int32_t offset) {
     const CompartmentId c = global_id(pop, idx);
     vth_offset_[c] = offset;
-    if (finalized_) {
+    if (finalized_)
         vth_eff_[c] = std::max<std::int64_t>(
             1, static_cast<std::int64_t>(
                    s_->pops[pop].cfg.compartment.vth) + offset);
-        // A lowered threshold can make a dormant sub-threshold membrane fire.
-        if (sparse_) wake(c);
-    }
 }
 
 std::int32_t Chip::threshold_offset(PopulationId pop, std::size_t idx) const {
@@ -1078,15 +826,6 @@ void Chip::set_compartment_dead(PopulationId pop, std::size_t idx, bool dead) {
         ++pop_dead_[pop];
     else
         --pop_dead_[pop];
-    const bool p1 = s_->pops[pop].cfg.compartment.active_in_phase1;
-    if (dead) {
-        --eligible_phase2_;
-        if (p1) --eligible_phase1_;
-    } else {
-        ++eligible_phase2_;
-        if (p1) ++eligible_phase1_;
-    }
-    if (sparse_) wake(c);
 }
 
 bool Chip::compartment_dead(PopulationId pop, std::size_t idx) const {
@@ -1138,10 +877,6 @@ void Chip::deliver_external(PopulationId pop, std::size_t idx,
         bank_.pending_soma[c] += eff_weight;
     else
         bank_.pending_aux[c] += eff_weight;
-    if (sparse_ && !bank_.awake.get(c)) {
-        bank_.awake.set(c);
-        wake_buf_.push_back(static_cast<std::uint32_t>(c));
-    }
 }
 
 void Chip::collect_spiked(PopulationId pop,

@@ -136,27 +136,15 @@ public:
     void set_phase(Phase phase) { phase_ = phase; }
     Phase phase() const { return phase_; }
 
-    /// Advances one barrier-synchronised timestep.
-    ///
-    /// By default the sweep is *sparse*: only compartments on the active
-    /// list are visited. A compartment leaves the list when visiting it
-    /// could not change any state — no pending input, zero bias, fully
-    /// decayed current, stable sub-threshold membrane, no refractory
-    /// countdown, no decaying traces — and re-enters it on any spike
-    /// delivery or host write. The sparse sweep is bit-identical to the
-    /// dense reference sweep (including the stochastic-rounding RNG streams
-    /// and every ActivityTotals counter); it only changes the step cost
-    /// from O(compartments) to O(active + spike traffic).
+    /// Advances one barrier-synchronised timestep: drain the delay wheel,
+    /// update every compartment (Loihi updates each one at every barrier,
+    /// and the energy model charges each live, phase-active one), then
+    /// deliver this step's spikes. Quiet compartments are not skipped; a
+    /// workload that needs skipping must skip whole populations before the
+    /// lane kernel runs, never keep per-compartment lists
+    /// (docs/ARCHITECTURE.md §3).
     void step();
     void run(std::size_t steps);
-
-    /// Selects the step-loop implementation: sparse active-set sweep (the
-    /// default) or the dense reference sweep that visits every compartment.
-    /// The two are bit-identical; the dense path is kept for regression
-    /// testing and as the baseline of bench/throughput_parallel. May be
-    /// toggled at any time.
-    void set_sparse_sweep(bool enabled);
-    bool sparse_sweep() const { return sparse_; }
 
     /// Selects the kernel implementation: the SIMD-friendly lane kernels
     /// (the default — per-population vectorized integrate/spike sweep plus
@@ -164,8 +152,7 @@ public:
     /// kernels that visit one compartment / one fan-out entry at a time.
     /// The two are bit-identical (spikes, ActivityTotals, RNG streams,
     /// traces); the scalar path is kept for equivalence testing and as the
-    /// normalization row of bench/micro_chip. May be toggled at any time
-    /// and composes with set_sparse_sweep.
+    /// normalization row of bench/micro_chip. May be toggled at any time.
     void set_vector_sweep(bool enabled) { vector_sweep_ = enabled; }
     bool vector_sweep() const { return vector_sweep_; }
 
@@ -232,7 +219,7 @@ public:
     // exact effect of an on-chip delivery on the destination chip.
 
     /// Delivers one already-weighted synaptic event to a compartment, exactly
-    /// as the local fan-out path would (pending accumulator + wake). Visible
+    /// as the local fan-out path would (pending accumulator). Visible
     /// at the next step. Not host I/O, and deliberately not a synaptic op on
     /// this chip either: on-chip accounting charges synops at spike
     /// *emission* (see deliver()), so the router tallies cross-chip events
@@ -375,10 +362,7 @@ private:
         std::vector<FanoutEntry> fanout;
         std::vector<std::size_t> run_begin;     // CSR over runs, compartments + 1
         std::vector<FanoutRun> runs;
-        /// Per-population: any trace with a nonzero decay constant? Such
-        /// compartments tick the shared trace RNG every step and never sleep.
-        std::vector<std::uint8_t> pop_has_decay;
-        /// Per-population: eligible for the vectorized dense sweep? True for
+        /// Per-population: eligible for the vectorized sweep? True for
         /// single-compartment populations (JoinOp::None) with pure-counter
         /// traces — no aux state, no per-step RNG draws. Populations with a
         /// dead compartment fall back at run time (see pop_dead_).
@@ -445,35 +429,17 @@ private:
     common::Rng learn_rng_{0xC0FFEE};
     common::Rng trace_rng_{0x7EAC0DE};
 
-    // ---- sparse active-set sweep (see step()) ------------------------------
-    bool sparse_ = true;
     /// SIMD lane kernels vs scalar reference kernels (see set_vector_sweep).
     bool vector_sweep_ = true;
     /// Scratch spike-detect lane of the vectorized sweep (one byte per
     /// compartment; rewritten for the population being swept each step).
     CompartmentBank::Lane<std::uint8_t> fired_;
-    /// Sorted global ids of compartments that must be visited next step.
-    /// Kept in ascending order so the visit order — and therefore the
-    /// trace-decay RNG stream — matches the dense sweep exactly.
-    /// (The membership flag lives in CompartmentBank::awake.)
-    std::vector<std::uint32_t> active_list_;
-    std::vector<std::uint32_t> wake_buf_;    ///< wakes pending the next merge
-    /// Number of compartments the dense sweep would count as updated per
-    /// step (non-dead, and active in the given phase) — used to keep
-    /// ActivityTotals::compartment_updates exact under the sparse sweep.
-    /// Depends on dead_, hence per-chip rather than structural.
-    std::size_t eligible_phase1_ = 0;
-    std::size_t eligible_phase2_ = 0;
 
-    void wake(CompartmentId c);
-    void wake_all();
-    void merge_wakes();
-    bool can_sleep(CompartmentId c) const;
     /// One compartment's worth of the pass-1 physics (integrate, spike,
-    /// traces); shared verbatim between the dense and sparse sweeps.
-    void step_compartment(CompartmentId c, bool count_update);
-    void step_dense();
-    void step_sparse();
+    /// traces): the scalar oracle of the lane kernels, and the path of
+    /// populations the lanes do not cover (AndAuxActive gates, decaying
+    /// traces, dead units).
+    void step_compartment(CompartmentId c);
     /// Pass-1 physics of one vector-eligible population [b, e): vectorized
     /// integrate + spike-detect over the lanes, then a scalar epilogue over
     /// the (rare) fired compartments. Bit-identical to per-compartment
@@ -483,11 +449,6 @@ private:
     /// on each set byte, skipping whole zero 8-byte blocks.
     void fire_epilogue(std::size_t b, std::size_t e,
                        const CompartmentConfig& cfg);
-    /// Fused sparse-sweep visit + sleep decision for populations without
-    /// decaying traces, AndAuxActive gates or dead units. Bit-identical to
-    /// step_compartment followed by can_sleep.
-    bool sparse_visit_fast(CompartmentId c, const CompartmentConfig& cfg,
-                           bool frozen);
     /// Spike bookkeeping of one fired vector-path compartment (reset,
     /// refractory re-arm, counters, trace impulses, raster).
     void fire_compartment(CompartmentId c, const CompartmentConfig& cfg);
@@ -498,9 +459,6 @@ private:
     /// Per-entry reference delivery of fan-out slots [b, e) (delays, mixed
     /// ports, non-contiguous destinations, and the scalar-kernel path).
     void deliver_span(std::size_t b, std::size_t e);
-    /// Wakes every sleeping compartment in [d0, d0 + len) by bitset words
-    /// (the batched-run counterpart of the per-entry wake check).
-    void wake_range(std::size_t d0, std::size_t len);
     void check_finalized(bool expected) const;
     /// Clones the structure iff it is still shared with another chip (call
     /// before any pre-finalize build mutation; after finalize the structure

@@ -64,18 +64,16 @@ struct CompartmentConfig {
     bool active_in_phase1 = true;
 };
 
-/// Packed bitset lane for per-compartment boolean flags (spiked, aux gate,
-/// sparse-sweep membership). One cache line covers 512 compartments, so the
-/// dense pass-2 spike scan and the delivery wake check touch 64x less memory
-/// than the old one-byte-per-flag layout, and whole sleeping words are
-/// skipped with a single load. Bits past size() are kept zero so word scans
-/// need no tail masking.
+/// Packed bitset lane for per-compartment boolean flags (spiked, aux gate).
+/// One cache line covers 512 compartments, so the pass-2 spike scan touches
+/// 64x less memory than a one-byte-per-flag layout, and whole quiet words
+/// are skipped with a single load. Bits past size() are kept zero so word
+/// scans need no tail masking.
 class BitLane {
 public:
     std::size_t size() const { return size_; }
     std::size_t word_count() const { return words_.size(); }
     const std::uint64_t* words() const { return words_.data(); }
-    std::uint64_t* words() { return words_.data(); }
 
     /// Grows to n bits; new bits are zero, existing bits are preserved.
     void resize(std::size_t n) {
@@ -91,12 +89,7 @@ public:
         words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
     }
 
-    void fill(bool value) {
-        std::fill(words_.begin(), words_.end(),
-                  value ? ~std::uint64_t{0} : std::uint64_t{0});
-        if (value && size_ % 64 != 0 && !words_.empty())
-            words_.back() = (std::uint64_t{1} << (size_ % 64)) - 1;
-    }
+    void clear_all() { std::fill(words_.begin(), words_.end(), 0); }
 
     /// Clears bits [b, e).
     void clear_range(std::size_t b, std::size_t e) {
@@ -118,11 +111,11 @@ private:
 
 /// Dynamic compartment state in struct-of-arrays form: one contiguous,
 /// cache-line-aligned integer lane per variable, indexed by global
-/// compartment id, plus packed bitsets for the boolean flags. The dense
-/// membrane sweep and the CSR synaptic accumulation iterate single lanes
+/// compartment id, plus packed bitsets for the boolean flags. The membrane
+/// sweep and the CSR synaptic accumulation iterate single lanes
 /// with unit stride, which is what lets them autovectorize (the loops
-/// tagged NEURO_VEC_HOT in chip.cpp); the scalar sparse/join/learning paths
-/// index the same lanes element-wise with unchanged semantics.
+/// tagged NEURO_VEC_HOT in chip.cpp); the scalar oracle, join and learning
+/// paths index the same lanes element-wise with unchanged semantics.
 struct CompartmentBank {
     template <typename T>
     using Lane = std::vector<T, common::AlignedAlloc<T>>;
@@ -153,9 +146,6 @@ struct CompartmentBank {
     /// Aux-compartment activity flag used by JoinOp::AndAuxActive — set if
     /// the aux compartment received any input in the current sample window.
     BitLane aux_active;
-    /// Membership flags of the chip's sparse active list. Owned by Chip;
-    /// not dynamic state (reset_dynamic leaves it alone).
-    BitLane awake;
 
     std::size_t size() const { return u.size(); }
 
@@ -177,15 +167,13 @@ struct CompartmentBank {
         tag.resize(n, 0);
         spiked.resize(n);
         aux_active.resize(n);
-        awake.resize(n);
     }
 
     std::int32_t spike_count(std::size_t c) const {
         return spikes_phase1[c] + spikes_phase2[c];
     }
 
-    /// Per-sample reset: everything except bias (a host register) and the
-    /// awake flags (sweep bookkeeping owned by Chip).
+    /// Per-sample reset: everything except bias (a host register).
     void reset_dynamic() {
         std::fill(u.begin(), u.end(), 0);
         std::fill(v.begin(), v.end(), 0);
@@ -200,8 +188,8 @@ struct CompartmentBank {
         std::fill(x2.begin(), x2.end(), 0);
         std::fill(y2.begin(), y2.end(), 0);
         std::fill(tag.begin(), tag.end(), 0);
-        spiked.fill(false);
-        aux_active.fill(false);
+        spiked.clear_all();
+        aux_active.clear_all();
     }
 
     /// Phase-boundary reset: clears the integrators but keeps spike

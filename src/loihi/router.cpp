@@ -150,7 +150,6 @@ ShardedChip::ShardedChip(const Chip& proto, ShardPlan plan,
     routed_to_.resize(plan_.num_shards);
     learn_visits_to_.resize(plan_.num_shards);
     set_phase(proto.phase());
-    set_sparse_sweep(proto.sparse_sweep());
     reset_activity();  // construction-time bias writes are not runtime I/O
 }
 
@@ -165,10 +164,6 @@ void ShardedChip::ensure_pool() {
 void ShardedChip::set_phase(Phase phase) {
     phase_ = phase;
     for (auto& chip : chips_) chip.set_phase(phase);
-}
-
-void ShardedChip::set_sparse_sweep(bool enabled) {
-    for (auto& chip : chips_) chip.set_sparse_sweep(enabled);
 }
 
 void ShardedChip::drain_inbox(std::size_t s) {

@@ -72,7 +72,6 @@ public:
     Phase phase() const { return phase_; }
     void step();
     void run(std::size_t steps);
-    void set_sparse_sweep(bool enabled);
 
     void set_bias(PopulationId pop, const std::vector<std::int32_t>& bias);
     void clear_bias(PopulationId pop);

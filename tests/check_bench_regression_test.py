@@ -295,8 +295,9 @@ class GateTest(unittest.TestCase):
         self.assertIn("accum_ns_per_event regressed", out)
 
     def test_micro_chip_sparse_context_row_is_not_gated(self):
-        # The results carry a "sparse, simd" context row; the committed
-        # baseline omits it, so even absurd values there must not gate.
+        # A results row that the committed baseline omits (here the
+        # "sparse, simd" row micro_chip used to emit) must not gate, even
+        # at absurd values.
         self.write(self.baselines, "micro_chip",
                    self.micro_chip_rows(10.0, 2.0, 1.0, 0.4))
         cur = self.micro_chip_rows(10.0, 2.0, 1.0, 0.4)

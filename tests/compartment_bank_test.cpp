@@ -6,13 +6,12 @@
 // file pins the refactor down from the outside: an array-of-structs
 // reference simulator — one struct per compartment, built on TraceState and
 // the shared trace free functions, following the documented step semantics
-// line by line — must agree bit-for-bit with every chip mode combination
-// (dense/sparse sweep x scalar/vector kernels) on randomized networks:
-// spikes, membranes, currents, all five traces, and every ActivityTotals
-// counter, including the shared stochastic-rounding RNG stream of decaying
-// traces.
+// line by line — must agree bit-for-bit with both kernel modes (scalar and
+// vector) on randomized networks: spikes, membranes, currents, all five
+// traces, and every ActivityTotals counter, including the shared
+// stochastic-rounding RNG stream of decaying traces.
 //
-// A second group cross-checks the four mode combinations against each other
+// A second group cross-checks the scalar kernels against the vector ones
 // on an EMSTDP-shaped net (AndAuxActive error gates + plastic projections),
 // and a concurrency section exercises the copy-on-write weight sharing from
 // several threads (meaningful under TSan, registered there by CI).
@@ -35,8 +34,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // AoS reference simulator. Deliberately naive: every compartment is one
 // struct, every step visits all of them in order, delivery walks a flat
-// per-source synapse list. No lanes, no bitsets, no active list, no batched
-// runs — just the documented semantics.
+// per-source synapse list. No lanes, no bitsets, no batched runs — just the
+// documented semantics.
 // ---------------------------------------------------------------------------
 
 struct RefCompartment {
@@ -470,16 +469,15 @@ void expect_identical(const TwinNets& t) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// SoA chip vs AoS reference, across the full mode matrix.
+// SoA chip vs AoS reference, in both kernel modes.
 // ---------------------------------------------------------------------------
 
 class BankEquivalence
-    : public testing::TestWithParam<std::tuple<bool, bool, std::uint64_t>> {};
+    : public testing::TestWithParam<std::tuple<bool, std::uint64_t>> {};
 
 TEST_P(BankEquivalence, MatchesAosReferenceBitForBit) {
-    const auto [sparse, vec, seed] = GetParam();
+    const auto [vec, seed] = GetParam();
     TwinNets t = build_random_net(seed);
-    t.chip.set_sparse_sweep(sparse);
     t.chip.set_vector_sweep(vec);
     drive(t, seed);
     expect_identical(t);
@@ -487,18 +485,16 @@ TEST_P(BankEquivalence, MatchesAosReferenceBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModeMatrix, BankEquivalence,
-    testing::Combine(testing::Bool(), testing::Bool(),
-                     testing::Values(1u, 2u, 3u, 4u, 5u)),
+    testing::Combine(testing::Bool(), testing::Values(1u, 2u, 3u, 4u, 5u)),
     [](const auto& info) {
-        return std::string(std::get<0>(info.param) ? "sparse" : "dense") +
-               (std::get<1>(info.param) ? "Simd" : "Scalar") + "Seed" +
-               std::to_string(std::get<2>(info.param));
+        return std::string(std::get<0>(info.param) ? "Simd" : "Scalar") +
+               "Seed" + std::to_string(std::get<1>(info.param));
     });
 
 TEST(BankEquivalence, MidRunModetogglesPreserveState) {
-    // Toggling the sweep/kernel selection between steps must not disturb
-    // state: the mixed run has to match the reference exactly like a pure
-    // run does.
+    // Toggling the kernel selection between steps must not disturb state:
+    // the mixed run has to match the reference exactly like a pure run
+    // does.
     const std::uint64_t seed = 11;
     TwinNets t = build_random_net(seed);
     t.chip.seed_learning_noise(seed);
@@ -511,14 +507,12 @@ TEST(BankEquivalence, MidRunModetogglesPreserveState) {
 
     neuro::common::Rng flips(42);
     for (int s = 0; s < 40; ++s) {
-        t.chip.set_sparse_sweep(flips.bernoulli(0.5));
         t.chip.set_vector_sweep(flips.bernoulli(0.5));
         t.chip.step();
         t.ref.step();
     }
-    // Mode flips cost nothing observable: compare only the simulator state,
-    // not the activity counters (wake_all bookkeeping is counter-neutral,
-    // so those are covered by the matrix test above).
+    // Mode flips cost nothing observable: compare only the simulator state
+    // (the activity counters are covered by the matrix test above).
     for (std::size_t p = 0; p < t.pops.size(); ++p) {
         const auto c1 = t.chip.spike_counts(t.pops[p], Phase::One);
         for (std::size_t i = 0; i < t.ref.pop_size(p); ++i) {
@@ -625,9 +619,8 @@ struct TrainResult {
     ActivityTotals totals;
 };
 
-TrainResult train_sample(bool sparse, bool vec) {
+TrainResult train_sample(bool vec) {
     TrainNet n = build_train_net(77);
-    n.chip.set_sparse_sweep(sparse);
     n.chip.set_vector_sweep(vec);
     n.chip.seed_learning_noise(5);
     neuro::common::Rng rng(123);
@@ -664,26 +657,21 @@ TrainResult train_sample(bool sparse, bool vec) {
 
 }  // namespace
 
-TEST(ModeCrossEquivalence, TrainingIsBitIdenticalAcrossAllFourModes) {
-    const TrainResult base = train_sample(/*sparse=*/false, /*vec=*/false);
+TEST(ModeCrossEquivalence, TrainingIsBitIdenticalScalarVsSimd) {
+    const TrainResult base = train_sample(/*vec=*/false);
     ASSERT_GT(base.totals.spikes, 0u) << "net must actually be active";
-    for (const bool sparse : {false, true}) {
-        for (const bool vec : {false, true}) {
-            if (!sparse && !vec) continue;
-            const TrainResult r = train_sample(sparse, vec);
-            EXPECT_EQ(r.w_ih, base.w_ih) << "sparse=" << sparse << " vec=" << vec;
-            EXPECT_EQ(r.w_ho, base.w_ho) << "sparse=" << sparse << " vec=" << vec;
-            EXPECT_EQ(r.counts_out, base.counts_out);
-            EXPECT_EQ(r.counts_err, base.counts_err);
-            EXPECT_EQ(r.totals.steps, base.totals.steps);
-            EXPECT_EQ(r.totals.compartment_updates,
-                      base.totals.compartment_updates);
-            EXPECT_EQ(r.totals.synaptic_ops, base.totals.synaptic_ops);
-            EXPECT_EQ(r.totals.spikes, base.totals.spikes);
-            EXPECT_EQ(r.totals.learning_synapse_visits,
-                      base.totals.learning_synapse_visits);
-        }
-    }
+    const TrainResult r = train_sample(/*vec=*/true);
+    EXPECT_EQ(r.w_ih, base.w_ih);
+    EXPECT_EQ(r.w_ho, base.w_ho);
+    EXPECT_EQ(r.counts_out, base.counts_out);
+    EXPECT_EQ(r.counts_err, base.counts_err);
+    EXPECT_EQ(r.totals.steps, base.totals.steps);
+    EXPECT_EQ(r.totals.compartment_updates, base.totals.compartment_updates);
+    EXPECT_EQ(r.totals.synaptic_ops, base.totals.synaptic_ops);
+    EXPECT_EQ(r.totals.spikes, base.totals.spikes);
+    EXPECT_EQ(r.totals.learning_synapse_visits,
+              base.totals.learning_synapse_visits);
+    EXPECT_EQ(r.totals.host_io_writes, base.totals.host_io_writes);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-// Tests for the data-parallel batched training engine and the sparse
-// active-set step loop it leans on:
+// Tests for the data-parallel batched training engine and the chip kernels
+// it leans on:
 //   * a 1-thread / batch-1 ParallelTrainer is bit-identical to the serial
 //     core::train_epoch,
 //   * batched results are independent of the thread count given fixed
 //     seeds (the determinism contract of docs/ARCHITECTURE.md §4),
-//   * the sparse sweep leaves every ActivityTotals counter — and the
-//     trained weights — exactly equal to the dense reference sweep.
+//   * the lane kernels leave every ActivityTotals counter — and the
+//     trained weights — exactly equal to the scalar reference kernels.
 
 #include <gtest/gtest.h>
 
@@ -213,7 +213,7 @@ TEST(ParallelTrainer, BatchedTrainingStillLearnsTheToyTask) {
     EXPECT_GT(trainer.evaluate(stream), 0.7);
 }
 
-// ---- sparse step loop -------------------------------------------------------
+// ---- lane kernels vs scalar oracle -------------------------------------------
 
 namespace {
 
@@ -227,59 +227,61 @@ void expect_activity_equal(const loihi::ActivityTotals& a,
     EXPECT_EQ(a.host_io_writes, b.host_io_writes);
 }
 
-void run_sparse_dense_parity(EmstdpOptions opt) {
-    EmstdpNetwork sparse_net = make_net(opt);
-    EmstdpNetwork dense_net = make_net(opt);
-    ASSERT_TRUE(sparse_net.chip().sparse_sweep());
-    dense_net.chip().set_sparse_sweep(false);
+void run_kernel_parity(EmstdpOptions opt) {
+    EmstdpNetwork lane_net = make_net(opt);
+    EmstdpNetwork scalar_net = make_net(opt);
+    ASSERT_TRUE(lane_net.chip().vector_sweep());
+    scalar_net.chip().set_vector_sweep(false);
 
     const auto stream = toy_stream(10, 21);
     for (const auto& s : stream.samples) {
-        sparse_net.train_sample(s.image, s.label);
-        dense_net.train_sample(s.image, s.label);
+        lane_net.train_sample(s.image, s.label);
+        scalar_net.train_sample(s.image, s.label);
     }
     // Interleave inference (exercises clear_bias / predict resets too).
     for (const auto& s : stream.samples)
-        EXPECT_EQ(sparse_net.predict(s.image), dense_net.predict(s.image));
+        EXPECT_EQ(lane_net.predict(s.image), scalar_net.predict(s.image));
 
-    expect_activity_equal(sparse_net.chip().activity(),
-                          dense_net.chip().activity());
-    EXPECT_EQ(sparse_net.plastic_weights(), dense_net.plastic_weights());
+    expect_activity_equal(lane_net.chip().activity(),
+                          scalar_net.chip().activity());
+    EXPECT_EQ(lane_net.plastic_weights(), scalar_net.plastic_weights());
 }
 
 }  // namespace
 
-TEST(SparseStep, ActivityCountersExactVsDenseSweep) {
-    run_sparse_dense_parity(small_options());
+TEST(KernelParity, ActivityCountersExactVsScalarKernels) {
+    run_kernel_parity(small_options());
 }
 
-TEST(SparseStep, ExactWithDecayingTracesAndFA) {
+TEST(KernelParity, ExactWithDecayingTracesAndFA) {
     // hw_trace_approx adds per-step decaying traces (shared-RNG order
     // matters); FA adds AND-gated aux compartments and the error chain.
     auto opt = small_options();
     opt.hw_trace_approx = true;
     opt.feedback = FeedbackMode::FA;
-    run_sparse_dense_parity(opt);
+    run_kernel_parity(opt);
 }
 
-TEST(SparseStep, ExactUnderFaultsAndThresholdVariation) {
+TEST(KernelParity, ExactUnderFaultsAndThresholdVariation) {
+    // A dead unit sends its whole population down the scalar path; the
+    // threshold offsets land in the lanes' effective-threshold table.
     auto opt = small_options();
-    EmstdpNetwork sparse_net = make_net(opt);
-    EmstdpNetwork dense_net = make_net(opt);
-    dense_net.chip().set_sparse_sweep(false);
-    for (auto* net : {&sparse_net, &dense_net}) {
+    EmstdpNetwork lane_net = make_net(opt);
+    EmstdpNetwork scalar_net = make_net(opt);
+    scalar_net.chip().set_vector_sweep(false);
+    for (auto* net : {&lane_net, &scalar_net}) {
         net->chip().set_compartment_dead(net->input_pop(), 3, true);
         net->chip().set_threshold_offset(net->output_pop(), 1, -40);
         net->chip().set_threshold_offset(net->hidden_pops()[0], 2, 25);
     }
     const auto stream = toy_stream(6, 33);
     for (const auto& s : stream.samples) {
-        sparse_net.train_sample(s.image, s.label);
-        dense_net.train_sample(s.image, s.label);
+        lane_net.train_sample(s.image, s.label);
+        scalar_net.train_sample(s.image, s.label);
     }
-    expect_activity_equal(sparse_net.chip().activity(),
-                          dense_net.chip().activity());
-    EXPECT_EQ(sparse_net.plastic_weights(), dense_net.plastic_weights());
+    expect_activity_equal(lane_net.chip().activity(),
+                          scalar_net.chip().activity());
+    EXPECT_EQ(lane_net.plastic_weights(), scalar_net.plastic_weights());
 }
 
 // ---- post-finalize weight programming --------------------------------------

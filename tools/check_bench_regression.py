@@ -7,10 +7,10 @@ tracked metric regresses by more than the tolerance.
 
 Raw throughput is machine-dependent, so for throughput benches each row's
 rate is first normalized by a reference row measured in the *same run*
-("serial, dense sweep") — the gate then tracks relative speedups (sparse
-vs dense, parallel vs serial, serving scale-out), which transfer across
-machines. Accuracy benches compare absolutely: the simulator is integer
-and seeded, so accuracies are reproducible.
+("serial, dense sweep") — the gate then tracks relative speedups
+(parallel vs serial, serving scale-out), which transfer across machines.
+Accuracy benches compare absolutely: the simulator is integer and seeded,
+so accuracies are reproducible.
 
 Usage:
   tools/check_bench_regression.py [--results bench_results]
@@ -53,9 +53,8 @@ RULES = {
     # scalar-reference row, so the gate tracks the simd/scalar ratio of the
     # membrane sweep and the synaptic accumulation (lower is better) — a
     # machine-independent measure of whether the SoA lane kernels still
-    # engage. The "sparse, simd" row rides along in the results but is
-    # absent from the committed baseline: its win depends on workload
-    # quiescence, not kernel layout.
+    # engage. A results row absent from the committed baseline (none today)
+    # would ride along ungated.
     "micro_chip": {
         "key": "config",
         "max_metrics": ["sweep_ns_per_compartment", "accum_ns_per_event"],

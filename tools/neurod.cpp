@@ -61,6 +61,16 @@ int main(int argc, char** argv) {
 
     const common::Cli cli(argc, argv);
     if (cli.error()) return 2;
+    // Feedback frames queue for an online::OnlineEngine, and neurod runs
+    // none: a nonzero capacity would hold the first frames forever and drop
+    // every later one.
+    if (cli.get_int("feedback_capacity", 0) != 0) {
+        std::fprintf(stderr,
+                     "neurod: --feedback_capacity is not supported: neurod "
+                     "runs no online learner, so nothing would drain the "
+                     "feedback queue\n");
+        return 2;
+    }
 
     const std::string listen = cli.get("listen", "/tmp/neurod.sock");
     const std::string control = cli.get("control", "/tmp/neurod.ctl");
@@ -92,8 +102,6 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(cli.get_int("codel_target_us", 5'000));
     ropt.admission.codel.interval_us =
         static_cast<std::uint64_t>(cli.get_int("codel_interval_us", 100'000));
-    ropt.admission.feedback_capacity =
-        static_cast<std::size_t>(cli.get_int("feedback_capacity", 0));
     ropt.fleet_dir = fleet_dir;
     ropt.registry_dir = registry_dir;
     ropt.resident_budget_bytes =
