@@ -11,12 +11,16 @@
 // (Chip::set_vector_sweep) on the same network. Before timing anything the
 // bench verifies that both kernel modes produce bit-identical spike counts
 // and ActivityTotals on an active workload — a perf number for a kernel
-// that drifted semantically would be meaningless.
+// that drifted semantically would be meaningless. A third row, the
+// calibration, times a fixed-work accumulate loop that lives in this file
+// (see Calibration).
 //
 // CI gates the simd row of both phases via
-// tools/check_bench_regression.py --only micro_chip (lower is better,
-// normalized by the same-run scalar row so the gate transfers across
-// machines); nightly.yml records full-scale trend points.
+// tools/check_bench_regression.py --only micro_chip (lower is better, each
+// normalized by a same-run row so the gate transfers across machines: the
+// sweep by the scalar row, the accumulation by the calibration row, which
+// no chip change can speed up or slow down); nightly.yml records
+// full-scale trend points.
 
 #include <algorithm>
 #include <chrono>
@@ -76,15 +80,56 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
         .count();
 }
 
+/// The batched accumulate arithmetic (int64 pending += int32 weight over
+/// one contiguous row), outside the chip. This file is compiled with the
+/// chip kernel TU's flags (CMakeLists.txt), so it gets the same code.
+void accumulate_row(std::int64_t* __restrict acc, const std::int32_t* __restrict w,
+                    std::size_t len) {
+    for (std::size_t j = 0; j < len; ++j) acc[j] += w[j];
+}
+
+/// Fixed-work calibration of the accumulation phase: accumulate_row over
+/// the bench's fan-out shape (one row of n/4 per spike, cycling through an
+/// n x n/4 weight table like the chip's). It shares the machine, compiler
+/// and flags of the simd row but no chip code, so no chip change — a
+/// faster scalar oracle included — can move it.
+class Calibration {
+public:
+    explicit Calibration(std::size_t n) : n_(n), width_(n / 4), w_(n * (n / 4)),
+                                          acc_(n / 4, 0) {
+        common::Rng rng(99);
+        for (auto& x : w_) x = static_cast<std::int32_t>(rng.uniform_int(-64, 64));
+    }
+    /// ns per add over `spikes` rows.
+    double run(std::size_t spikes) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t i = 0; i < spikes; ++i)
+            accumulate_row(acc_.data(), w_.data() + (i % n_) * width_, width_);
+        const double ns = seconds_since(t0) * 1e9 / static_cast<double>(spikes * width_);
+        // Read the sums back, untimed, so the loop cannot be dropped.
+        volatile std::int64_t sink = 0;
+        for (const auto v : acc_) sink = sink + v;
+        return ns;
+    }
+
+private:
+    std::size_t n_, width_;
+    std::vector<std::int32_t> w_;
+    std::vector<std::int64_t> acc_;
+};
+
 struct PhaseResult {
     double sweep_ns_per_compartment = 0.0;
     double accum_ns_per_event = 0.0;
+    /// Calibration ns per add, timed right after the accumulation phase so
+    /// both see the same host conditions.
+    double calib_ns_per_add = 0.0;
     std::uint64_t spikes_delivered = 0;
     std::uint64_t synaptic_events = 0;
 };
 
 PhaseResult measure_once(std::size_t n, std::size_t steps, std::size_t spikes,
-                         bool simd) {
+                         bool simd, Calibration& calib) {
     Chip chip = make_chip(n);
     chip.set_vector_sweep(simd);
 
@@ -120,6 +165,7 @@ PhaseResult measure_once(std::size_t n, std::size_t steps, std::size_t spikes,
         a2.synaptic_ops == 0
             ? 0.0
             : accum_s * 1e9 / static_cast<double>(a2.synaptic_ops);
+    out.calib_ns_per_add = calib.run(spikes);
     return out;
 }
 
@@ -128,14 +174,15 @@ PhaseResult measure_once(std::size_t n, std::size_t steps, std::size_t spikes,
 /// runners are shared machines, and the gate compares per-phase *ratios*,
 /// which a single preempted rep would skew by 2x or more).
 PhaseResult measure(std::size_t n, std::size_t steps, std::size_t spikes,
-                    std::size_t reps, bool simd) {
-    PhaseResult best = measure_once(n, steps, spikes, simd);
+                    std::size_t reps, bool simd, Calibration& calib) {
+    PhaseResult best = measure_once(n, steps, spikes, simd, calib);
     for (std::size_t r = 1; r < reps; ++r) {
-        const PhaseResult cur = measure_once(n, steps, spikes, simd);
+        const PhaseResult cur = measure_once(n, steps, spikes, simd, calib);
         best.sweep_ns_per_compartment =
             std::min(best.sweep_ns_per_compartment, cur.sweep_ns_per_compartment);
         best.accum_ns_per_event =
             std::min(best.accum_ns_per_event, cur.accum_ns_per_event);
+        best.calib_ns_per_add = std::min(best.calib_ns_per_add, cur.calib_ns_per_add);
     }
     return best;
 }
@@ -223,8 +270,12 @@ int main(int argc, char** argv) {
         {"dense, scalar", false},
         {"dense, simd", true},
     };
+    Calibration calib(n);
+    double calib_ns = 0.0;
     for (const Mode& m : modes) {
-        const PhaseResult r = measure(n, steps, spikes, reps, m.simd);
+        const PhaseResult r = measure(n, steps, spikes, reps, m.simd, calib);
+        // The gate normalizes the simd row, so its reps time the calibration.
+        if (m.simd) calib_ns = r.calib_ns_per_add;
         table.add_row(
             {m.name, common::Table::fmt(r.sweep_ns_per_compartment, 3),
              common::Table::fmt(r.accum_ns_per_event, 3),
@@ -236,12 +287,18 @@ int main(int argc, char** argv) {
              std::to_string(r.spikes_delivered),
              std::to_string(r.synaptic_events)});
     }
+    // The accumulation gate's normalization row (no sweep column).
+    table.add_row({"calibration", "-", common::Table::fmt(calib_ns, 3), "-",
+                   std::to_string(spikes * (n / 4))});
+    json.add_row({"calibration", "-", common::Table::fmt(calib_ns, 4), "-",
+                  std::to_string(spikes * (n / 4))});
     table.print();
     const auto path = json.write();
     std::printf("\nresults -> %s\n", path.c_str());
 
     bench::footnote(
-        "CI gates the simd row of both phases (lower is better, normalized "
-        "by the same-run scalar row).");
+        "CI gates the simd row of both phases (lower is better): the sweep "
+        "normalized by the same-run scalar row, the accumulation by the "
+        "same-run calibration row.");
     return 0;
 }

@@ -148,6 +148,19 @@ int main(int argc, char** argv) {
 
     std::printf("\nLoihi-sim core usage: FA train=%zu, DFA train=%zu, test=%zu\n",
                 train_r.cores, dfa_r.cores, test_r.cores);
+
+    // Table II's metric layer by layer: each population's event energy and
+    // its energy per synaptic op (synops charged to the emitting layer).
+    common::Table layers({"population (FA train)", "synops/img", "updates/img",
+                          "spikes/img", "event uJ/img", "pJ/synop"});
+    for (const auto& p : train_r.populations)
+        layers.add_row({p.name, common::Table::fmt(p.synaptic_ops, 0),
+                        common::Table::fmt(p.compartment_updates, 0),
+                        common::Table::fmt(p.spikes, 0),
+                        common::Table::fmt(p.event_energy_j * 1e6, 3),
+                        common::Table::fmt(p.energy_per_synop_j * 1e12, 1)});
+    std::printf("\nPer-layer event energy:\n");
+    layers.print();
     std::printf("CSV: %s\n", csv.write().c_str());
 
     bench::footnote(

@@ -6,6 +6,7 @@
 namespace neuro::ann {
 
 std::size_t conv_out_dim(std::size_t in, std::size_t k, std::size_t stride) {
+    if (stride == 0) throw std::invalid_argument("conv_out_dim: zero stride");
     if (k > in) throw std::invalid_argument("conv_out_dim: kernel larger than input");
     // Floor semantics: border pixels that do not fit a full kernel window are
     // dropped (28 -> 12 for the paper's 5x5k/2s layer).

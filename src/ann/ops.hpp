@@ -18,7 +18,8 @@ namespace neuro::ann {
 using common::Tensor;
 
 /// Output spatial size of a valid convolution with floor semantics:
-/// (in - k) / stride + 1. Throws if the kernel exceeds the input.
+/// (in - k) / stride + 1. Throws std::invalid_argument for a zero stride or
+/// a kernel that exceeds the input.
 std::size_t conv_out_dim(std::size_t in, std::size_t k, std::size_t stride);
 
 /// y[oc,oy,ox] = b[oc] + sum_{ic,ky,kx} w[oc,ic,ky,kx] * x[ic, oy*s+ky, ox*s+kx]

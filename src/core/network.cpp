@@ -210,24 +210,34 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
         prc.plastic = true;
         prc.rule = rule;
         prc.stochastic_rounding = opt_.stochastic_rounding;
-        plastic_.push_back(
-            chip_.add_projection(prc, snn::dense_synapses(in, out, w)));
+        auto syns = snn::dense_synapses(in, out, w);
+        // The list and its weights stay in logical order; only the sources
+        // move to where conv2 placed its neurons.
+        if (l == 0 && conv != nullptr)
+            for (auto& syn : syns)
+                syn.src = static_cast<std::uint32_t>(
+                    snn::conv_placement(conv->conv2.spec, syn.src));
+        plastic_.push_back(chip_.add_projection(prc, std::move(syns)));
     }
 
     // ---- frozen conv projections ---------------------------------------------
+    // Conv neurons sit channel-minor (snn::conv_placement), so each source's
+    // fan-out is a few long runs of consecutive compartments.
     if (conv != nullptr) {
         ProjectionConfig p1;
         p1.name = "conv1";
         p1.src = input_;
         p1.dst = *conv1_;
-        chip_.add_projection(p1, snn::conv_synapses(conv->conv1.spec,
-                                                    conv->conv1.weights));
+        conv_projections_.push_back(chip_.add_projection(
+            p1, snn::placed_conv_synapses(conv->conv1.spec, conv->conv1.weights,
+                                          nullptr)));
         ProjectionConfig p2;
         p2.name = "conv2";
         p2.src = *conv1_;
         p2.dst = *conv2_;
-        chip_.add_projection(p2, snn::conv_synapses(conv->conv2.spec,
-                                                    conv->conv2.weights));
+        conv_projections_.push_back(chip_.add_projection(
+            p2, snn::placed_conv_synapses(conv->conv2.spec, conv->conv2.weights,
+                                          &conv->conv1.spec)));
     }
 
     // ---- error path ------------------------------------------------------------
@@ -387,8 +397,10 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
 
     // ---- conv parameters & finalize -------------------------------------------
     if (conv != nullptr) {
-        chip_.set_bias(*conv1_, conv->conv1.bias);
-        chip_.set_bias(*conv2_, conv->conv2.bias);
+        chip_.set_bias(*conv1_, snn::place_conv_values(conv->conv1.spec,
+                                                       conv->conv1.bias));
+        chip_.set_bias(*conv2_, snn::place_conv_values(conv->conv2.spec,
+                                                       conv->conv2.bias));
     }
     chip_.finalize();
     chip_.reset_activity();  // construction-time bias writes are not runtime I/O
@@ -512,7 +524,18 @@ void EmstdpNetwork::save(const std::string& path) const {
 void EmstdpNetwork::load(const std::string& path) {
     std::ifstream in(path, std::ios::binary);
     if (!in) throw std::runtime_error("EmstdpNetwork::load: cannot open " + path);
-    chip_.load_weights(in);
+    // The file restores every projection in list order, and only synapse
+    // counts are checked. Frozen conv weights never change after build, so
+    // a file that changes them pairs weights with the wrong synapses: load
+    // into a copy and keep it only if they come back unchanged.
+    loihi::Chip loaded = chip_;
+    loaded.load_weights(in);
+    for (auto proj : conv_projections_)
+        if (loaded.weights(proj) != chip_.weights(proj))
+            throw std::runtime_error("EmstdpNetwork::load: " + path +
+                                     " does not match this network's frozen "
+                                     "conv weights");
+    chip_ = std::move(loaded);
 }
 
 StructuralCosts EmstdpNetwork::costs() const {

@@ -4,7 +4,8 @@
 // Layout built by this class:
 //
 //   input (bias-driven IF)                                [pixels]
-//     -> conv1 -> conv2 (frozen, pretrained, quantized)   [optional]
+//     -> conv1 -> conv2 (frozen, pretrained, quantized,   [optional]
+//                        placed channel-minor, see snn/topology.hpp)
 //       -> dense hidden ... -> output                     [plastic]
 //
 //   label (bias-driven, phase 2 only)
@@ -96,7 +97,11 @@ public:
     /// Checkpoints every synaptic weight (trained dense + frozen conv) to a
     /// file; load() restores it into an identically-built network. This is
     /// the host-side equivalent of reading back / reprogramming the chip's
-    /// synaptic memory.
+    /// synaptic memory. load() throws std::runtime_error, leaving the
+    /// network as it was, when the file's frozen conv weights differ from
+    /// this network's: the file was written for another conv stack or
+    /// another conv synapse order (before the channel-minor placement,
+    /// conv projections were listed channel-major).
     void save(const std::string& path) const;
     void load(const std::string& path);
 
@@ -108,6 +113,7 @@ public:
 
     loihi::PopulationId input_pop() const { return input_; }
     /// The population feeding the first plastic layer (conv2 or input).
+    /// Conv neurons sit at their snn::conv_placement compartments.
     loihi::PopulationId feature_pop() const { return feature_; }
     const std::vector<loihi::PopulationId>& hidden_pops() const { return hidden_pops_; }
     loihi::PopulationId output_pop() const { return output_; }
@@ -141,6 +147,7 @@ private:
 
     std::vector<loihi::ProjectionId> plastic_;
     std::vector<loihi::ProjectionId> feedback_projections_;
+    std::vector<loihi::ProjectionId> conv_projections_;
 
     std::vector<bool> class_mask_;
     int shift_offset_ = 0;

@@ -156,6 +156,7 @@ PopulationId Chip::add_population(PopulationConfig cfg) {
     vth_offset_.resize(bank_.size(), 0);
     dead_.resize(bank_.size(), 0);
     pop_dead_.push_back(0);
+    pop_activity_.emplace_back();
     s_->pops.push_back(std::move(p));
     return s_->pops.size() - 1;
 }
@@ -402,10 +403,13 @@ void Chip::insert_spike(PopulationId pop, std::size_t idx) {
     trace_on_spike(bank_.y2[c], cfg.post_trace2, phase_);
     trace_on_spike(bank_.tag[c], cfg.tag_trace, phase_);
     ++activity_.spikes;
+    ++pop_activity_[pop].spikes;
     if (raster_pop_ && s_->pop_of[c] == *raster_pop_)
         raster_.emplace_back(now_ + 1,  // delivered with the next step
                              static_cast<std::uint32_t>(idx));
-    deliver(c);
+    const std::size_t synops = deliver(c);
+    activity_.synaptic_ops += synops;
+    pop_activity_[pop].synaptic_ops += synops;
 }
 
 void Chip::deliver_span(std::size_t b, std::size_t e) {
@@ -427,7 +431,7 @@ void Chip::deliver_span(std::size_t b, std::size_t e) {
     }
 }
 
-void Chip::deliver(CompartmentId src) {
+std::size_t Chip::deliver(CompartmentId src) {
     if (vector_sweep_) {
         const FanoutRun* runs = s_->runs.data();
         const std::size_t rb = s_->run_begin[src];
@@ -452,7 +456,7 @@ void Chip::deliver(CompartmentId src) {
     } else {
         deliver_span(s_->fanout_begin[src], s_->fanout_begin[src + 1]);
     }
-    activity_.synaptic_ops += s_->fanout_begin[src + 1] - s_->fanout_begin[src];
+    return s_->fanout_begin[src + 1] - s_->fanout_begin[src];
 }
 
 void Chip::step() {
@@ -480,24 +484,47 @@ void Chip::step() {
             const Population& pop = s_->pops[p];
             const std::size_t b = pop.first;
             const std::size_t e = b + pop.cfg.size;
+            // The population's share of the totals is their growth over its
+            // own sweep: two adds per population, none per compartment.
+            const std::uint64_t updates0 = activity_.compartment_updates;
+            const std::uint64_t spikes0 = activity_.spikes;
             if (vector_sweep_ && s_->pop_vec_ok[p] != 0 && pop_dead_[p] == 0)
                 sweep_pop_vector(p, b, e);
             else
                 for (std::size_t c = b; c < e; ++c) step_compartment(c);
+            pop_activity_[p].compartment_updates +=
+                activity_.compartment_updates - updates0;
+            pop_activity_[p].spikes += activity_.spikes - spikes0;
         }
     }
     // Pass 2: deliver this step's spikes (visible at the next step), in
-    // ascending compartment order via the packed spike bitset.
+    // ascending compartment order via the packed spike bitset. Populations
+    // are contiguous id ranges, so synaptic ops are summed in a register
+    // and charged once per population that spiked.
     obs::Timer t(phase_times_.accum_ns);
     const std::uint64_t* words = bank_.spiked.words();
     const std::size_t nw = bank_.spiked.word_count();
+    const std::uint16_t* pop_of = s_->pop_of.data();
+    std::uint16_t pop = 0;
+    std::uint64_t synops = 0;
+    const auto charge = [&] {
+        activity_.synaptic_ops += synops;
+        pop_activity_[pop].synaptic_ops += synops;
+        synops = 0;
+    };
     for (std::size_t wi = 0; wi < nw; ++wi) {
         std::uint64_t bits = words[wi];
         while (bits != 0) {
-            deliver((wi << 6) + static_cast<std::size_t>(std::countr_zero(bits)));
+            const std::size_t c = (wi << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+            if (pop_of[c] != pop) {
+                charge();
+                pop = pop_of[c];
+            }
+            synops += deliver(c);
             bits &= bits - 1;
         }
     }
+    if (synops != 0) charge();
 }
 
 // Pass 1 physics of one compartment: integrate and decide the spike.

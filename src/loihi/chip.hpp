@@ -85,6 +85,16 @@ struct ActivityTotals {
     std::uint64_t host_io_writes = 0;  ///< bias writes + spike insertions
 };
 
+/// The per-population split of ActivityTotals' event counters: updates and
+/// spikes of the population's own compartments, and the synaptic ops of
+/// the spikes it emitted (charged at emission, as ActivityTotals charges
+/// them). Summed over populations they equal the totals exactly.
+struct PopulationActivity {
+    std::uint64_t compartment_updates = 0;
+    std::uint64_t synaptic_ops = 0;
+    std::uint64_t spikes = 0;
+};
+
 /// Wall-clock attribution of step() time to its two passes: the
 /// integrate/spike sweep (pass 1) and the synaptic accumulation/delivery
 /// (pass 2). Nanoseconds from obs::Timer sinks — they only advance while
@@ -286,7 +296,14 @@ public:
     void load_weights(std::istream& in);
 
     const ActivityTotals& activity() const { return activity_; }
-    void reset_activity() { activity_ = {}; }
+    /// activity() split by population, indexed by PopulationId.
+    const std::vector<PopulationActivity>& population_activity() const {
+        return pop_activity_;
+    }
+    void reset_activity() {
+        activity_ = {};
+        pop_activity_.assign(pop_activity_.size(), PopulationActivity{});
+    }
 
     /// Cumulative per-pass step() timing (see KernelPhaseTimes). Read on
     /// the thread that steps the chip; serving workers snapshot deltas
@@ -421,6 +438,7 @@ private:
     std::array<std::vector<DelayedDelivery>, kWheel> wheel_{};
 
     ActivityTotals activity_{};
+    std::vector<PopulationActivity> pop_activity_;
     KernelPhaseTimes phase_times_{};
 
     std::optional<PopulationId> raster_pop_{};
@@ -455,7 +473,9 @@ private:
     void tick_traces(CompartmentId c, const CompartmentConfig& cfg);
 
     CompartmentId global_id(PopulationId pop, std::size_t idx) const;
-    void deliver(CompartmentId src);
+    /// Delivers one spike of `src` through its fan-out and returns the
+    /// synaptic ops it made; the caller charges them.
+    std::size_t deliver(CompartmentId src);
     /// Per-entry reference delivery of fan-out slots [b, e) (delays, mixed
     /// ports, non-contiguous destinations, and the scalar-kernel path).
     void deliver_span(std::size_t b, std::size_t e);

@@ -50,6 +50,22 @@ EnergyReport estimate_energy(const EnergyModelParams& params, const Chip& chip,
     r.power_w = params.base_power_w +
                 params.core_power_w * static_cast<double>(r.cores) + event_power;
     r.energy_per_sample_j = r.power_w * r.sample_seconds;
+
+    const auto n = static_cast<double>(samples);
+    const auto& pops = chip.population_activity();
+    r.populations.reserve(pops.size());
+    for (std::size_t p = 0; p < pops.size(); ++p) {
+        PopulationEnergy e;
+        e.name = chip.population_config(p).name;
+        e.synaptic_ops = static_cast<double>(pops[p].synaptic_ops) / n;
+        e.compartment_updates = static_cast<double>(pops[p].compartment_updates) / n;
+        e.spikes = static_cast<double>(pops[p].spikes) / n;
+        e.event_energy_j = params.synop_energy_j * e.synaptic_ops +
+                           params.update_energy_j * e.compartment_updates +
+                           params.spike_energy_j * e.spikes;
+        if (e.synaptic_ops > 0.0) e.energy_per_synop_j = e.event_energy_j / e.synaptic_ops;
+        r.populations.push_back(std::move(e));
+    }
     return r;
 }
 

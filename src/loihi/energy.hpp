@@ -19,6 +19,8 @@
 // testing); see tests/loihi/energy_test.cpp.
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "loihi/chip.hpp"
 
@@ -42,6 +44,20 @@ struct EnergyModelParams {
     double learn_energy_j = 60.0e-12;     ///< per synapse visit at an epoch
 };
 
+/// One population's share of the event energy, per sample: the paper's
+/// per-synaptic-op accounting (Table II) reported layer by layer. Synaptic
+/// ops are charged to the emitting population (Chip::population_activity);
+/// learning visits belong to projections and appear only in the total.
+struct PopulationEnergy {
+    std::string name;
+    double synaptic_ops = 0.0;         ///< per sample
+    double compartment_updates = 0.0;  ///< per sample
+    double spikes = 0.0;               ///< per sample
+    double event_energy_j = 0.0;       ///< per sample
+    /// event_energy_j / synaptic_ops (0 for a population that emits none).
+    double energy_per_synop_j = 0.0;
+};
+
 /// A complete Table-II-style operating point derived from measured activity.
 struct EnergyReport {
     double step_seconds = 0.0;
@@ -51,6 +67,11 @@ struct EnergyReport {
     double energy_per_sample_j = 0.0;
     std::size_t cores = 0;
     std::uint64_t steps_per_sample = 0;
+    /// Event-energy breakdown by population, from the chip's own counters
+    /// (Chip::population_activity over the same `samples`). With `totals`
+    /// = chip.activity(), the entries plus learning-visit energy add up to
+    /// the run's event energy.
+    std::vector<PopulationEnergy> populations;
 };
 
 /// Derives the operating point from activity totals accumulated over

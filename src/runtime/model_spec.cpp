@@ -55,6 +55,14 @@ void ModelSpec::validate() const {
     if (conv && (conv->conv1.spec.in_c != in_c || conv->conv1.spec.in_h != in_h ||
                  conv->conv1.spec.in_w != in_w))
         throw std::invalid_argument("ModelSpec: conv stack geometry mismatch");
+    // conv2 reads conv1's placed compartments (snn::conv_placement), which
+    // is only defined when conv2's input is exactly conv1's output. A zero
+    // stride throws from out_h() here.
+    if (conv && (conv->conv2.spec.in_c != conv->conv1.spec.out_c ||
+                 conv->conv2.spec.in_h != conv->conv1.spec.out_h() ||
+                 conv->conv2.spec.in_w != conv->conv1.spec.out_w()))
+        throw std::invalid_argument(
+            "ModelSpec: conv2 input geometry differs from conv1 output");
 }
 
 }  // namespace neuro::runtime

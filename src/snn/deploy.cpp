@@ -154,19 +154,24 @@ ConvertedNetwork::ConvertedNetwork(const ConvertedModel& model,
         cfg.dst = dst;
         chip_.add_projection(cfg, std::move(syns));
     };
+    // Conv neurons sit channel-minor (conv_placement); fc1 keeps its logical
+    // synapse order and reads conv2 at the placed sources.
+    const ConvSpec& spec1 = model.stack.conv1.spec;
+    const ConvSpec& spec2 = model.stack.conv2.spec;
     connect(input_, conv1_,
-            conv_synapses(model.stack.conv1.spec, model.stack.conv1.weights),
+            placed_conv_synapses(spec1, model.stack.conv1.weights, nullptr),
             "conv1");
     connect(conv1_, conv2_,
-            conv_synapses(model.stack.conv2.spec, model.stack.conv2.weights),
-            "conv2");
-    connect(conv2_, fc1_,
-            dense_synapses(model.fc1.in, model.fc1.out, model.fc1.weights), "fc1");
+            placed_conv_synapses(spec2, model.stack.conv2.weights, &spec1), "conv2");
+    auto fc1 = dense_synapses(model.fc1.in, model.fc1.out, model.fc1.weights);
+    for (auto& s : fc1)
+        s.src = static_cast<std::uint32_t>(conv_placement(spec2, s.src));
+    connect(conv2_, fc1_, std::move(fc1), "fc1");
     connect(fc1_, fc2_,
             dense_synapses(model.fc2.in, model.fc2.out, model.fc2.weights), "fc2");
 
-    chip_.set_bias(conv1_, model.stack.conv1.bias);
-    chip_.set_bias(conv2_, model.stack.conv2.bias);
+    chip_.set_bias(conv1_, place_conv_values(spec1, model.stack.conv1.bias));
+    chip_.set_bias(conv2_, place_conv_values(spec2, model.stack.conv2.bias));
     chip_.set_bias(fc1_, model.fc1.bias);
     chip_.set_bias(fc2_, model.fc2.bias);
 

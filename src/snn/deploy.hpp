@@ -74,6 +74,7 @@ public:
         return {fc1_, fc2_};
     }
     /// All forward populations in order {input, conv1, conv2, fc1, fc2}.
+    /// Conv neurons sit at their conv_placement compartments.
     std::vector<loihi::PopulationId> layer_populations() const {
         return {input_, conv1_, conv2_, fc1_, fc2_};
     }

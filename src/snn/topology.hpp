@@ -5,8 +5,16 @@
 //
 // Loihi has no weight sharing: a convolution is laid down as an explicit
 // synapse list, one entry per (output neuron, kernel tap), each carrying its
-// own integer weight copied from the kernel. Neuron indexing is CHW-major,
-// matching the flattening used by common::Tensor images.
+// own integer weight copied from the kernel.
+//
+// Two numberings of a conv layer's neurons exist. The *logical* index is
+// CHW-major, matching the flattening used by common::Tensor images; it is
+// what for_each_conv_connection, conv_synapses, the ANN, the reference
+// backend and nx speak. The *compartment* a network builder places a conv
+// neuron in is channel-minor (HWC, see conv_placement), so the out_c
+// channels of one output pixel sit side by side and a source's fan-out forms
+// the long consecutive-destination runs the chip's vector accumulate path
+// takes (docs/ARCHITECTURE.md §13).
 
 #include <cstdint>
 #include <functional>
@@ -37,9 +45,31 @@ void for_each_conv_connection(
     const std::function<void(std::size_t src, std::size_t dst, std::size_t widx)>& fn);
 
 /// Expands the convolution into chip synapses using per-tap integer weights
-/// (length out_c * in_c * k * k, kernel-bank order).
+/// (length out_c * in_c * k * k, kernel-bank order), with logical CHW
+/// source and destination indices.
 std::vector<loihi::Synapse> conv_synapses(const ConvSpec& spec,
                                           const std::vector<std::int32_t>& weights);
+
+/// The conv placement: the compartment (population-local) that holds the
+/// layer's logical CHW output neuron `idx` — (oy * out_w + ox) * out_c + oc
+/// for idx = (oc * out_h + oy) * out_w + ox. The one permutation between
+/// the two numberings; everything a builder places goes through it.
+std::size_t conv_placement(const ConvSpec& spec, std::size_t idx);
+
+/// conv_synapses as a builder lays them onto the chip: destinations at
+/// conv_placement(spec, dst), and sources at conv_placement(*src_layer, src)
+/// when the input is itself a placed conv layer (null: the CHW input
+/// image). Emitted output pixel by output pixel, so every source's fan-out
+/// is already in ascending destination order. Throws if `src_layer`'s
+/// output geometry differs from `spec`'s input.
+std::vector<loihi::Synapse> placed_conv_synapses(
+    const ConvSpec& spec, const std::vector<std::int32_t>& weights,
+    const ConvSpec* src_layer);
+
+/// A per-neuron vector of a conv layer in logical CHW order (the expanded
+/// bias) reordered into compartment order.
+std::vector<std::int32_t> place_conv_values(const ConvSpec& spec,
+                                            const std::vector<std::int32_t>& logical);
 
 /// All-to-all synapses for a dense layer from a row-major {out, in} integer
 /// weight matrix.

@@ -48,6 +48,8 @@ TEST(ConvOutDim, FloorSemantics) {
     EXPECT_EQ(conv_out_dim(12, 3, 2), 5u);   // paper conv2
     EXPECT_EQ(conv_out_dim(32, 5, 2), 14u);  // CIFAR geometry
     EXPECT_THROW(conv_out_dim(3, 5, 1), std::invalid_argument);
+    // A zero stride is a typed error, not a division by zero.
+    EXPECT_THROW(conv_out_dim(28, 5, 0), std::invalid_argument);
 }
 
 TEST(Conv2d, GradientMatchesNumeric) {

@@ -252,7 +252,8 @@ class GateTest(unittest.TestCase):
     # ---- kernel phase ratios (micro_chip max_metrics) ------------------------
 
     @staticmethod
-    def micro_chip_rows(scalar_sweep, scalar_accum, simd_sweep, simd_accum):
+    def micro_chip_rows(scalar_sweep, scalar_accum, simd_sweep, simd_accum,
+                        calib_accum=0.3):
         return [
             {"config": "dense, scalar",
              "sweep_ns_per_compartment": scalar_sweep,
@@ -262,15 +263,20 @@ class GateTest(unittest.TestCase):
              "sweep_ns_per_compartment": simd_sweep,
              "accum_ns_per_event": simd_accum,
              "spikes_delivered": 2048, "synaptic_events": 524288},
+            {"config": "calibration",
+             "sweep_ns_per_compartment": "-",
+             "accum_ns_per_event": calib_accum,
+             "spikes_delivered": "-", "synaptic_events": 524288},
         ]
 
     def test_micro_chip_simd_ratio_transfers_across_machines(self):
-        # Baseline: simd sweeps at 0.1x of scalar cost. Current machine is
-        # 5x slower in absolute ns but holds the same ratio: must pass.
+        # Baseline: simd sweeps at 0.1x of scalar cost and accumulates at
+        # 1.33x the calibration loop. Current machine is 5x slower in
+        # absolute ns but holds the same ratios: must pass.
         self.write(self.baselines, "micro_chip",
-                   self.micro_chip_rows(10.0, 2.0, 1.0, 0.4))
+                   self.micro_chip_rows(10.0, 2.0, 1.0, 0.4, 0.3))
         self.write(self.results, "micro_chip",
-                   self.micro_chip_rows(50.0, 10.0, 5.0, 2.0))
+                   self.micro_chip_rows(50.0, 10.0, 5.0, 2.0, 1.5))
         code, out = self.run_gate()
         self.assertEqual(code, 0, out)
 
@@ -278,21 +284,46 @@ class GateTest(unittest.TestCase):
         # The simd/scalar sweep ratio decays 0.1 -> 0.5 (the lane kernels
         # stopped engaging): must fail even though absolute ns improved.
         self.write(self.baselines, "micro_chip",
-                   self.micro_chip_rows(10.0, 2.0, 1.0, 0.4))
+                   self.micro_chip_rows(10.0, 2.0, 1.0, 0.4, 0.3))
         self.write(self.results, "micro_chip",
-                   self.micro_chip_rows(8.0, 2.0, 4.0, 0.32))
+                   self.micro_chip_rows(8.0, 2.0, 4.0, 0.32, 0.24))
         code, out = self.run_gate()
         self.assertEqual(code, 1, out)
         self.assertIn("sweep_ns_per_compartment regressed", out)
+        self.assertNotIn("accum_ns_per_event regressed", out)
 
     def test_micro_chip_accum_ratio_collapse_fails(self):
+        # simd accumulation falls off the vector path: 1.33x -> 6x the
+        # calibration loop, with the scalar oracle unchanged.
         self.write(self.baselines, "micro_chip",
-                   self.micro_chip_rows(10.0, 2.0, 1.0, 0.4))
+                   self.micro_chip_rows(10.0, 2.0, 1.0, 0.4, 0.3))
         self.write(self.results, "micro_chip",
-                   self.micro_chip_rows(10.0, 2.0, 1.0, 1.8))
+                   self.micro_chip_rows(10.0, 2.0, 1.0, 1.8, 0.3))
         code, out = self.run_gate()
         self.assertEqual(code, 1, out)
         self.assertIn("accum_ns_per_event regressed", out)
+
+    def test_micro_chip_faster_scalar_oracle_does_not_gate_simd(self):
+        # The scalar oracle halves its cost while simd and the calibration
+        # hold. Normalized by the oracle, the simd ratio would double (0.2
+        # -> 0.4) and fail; normalized by the calibration it must pass, and
+        # the oracle's own row is never gated.
+        self.write(self.baselines, "micro_chip",
+                   self.micro_chip_rows(10.0, 2.0, 1.0, 0.4, 0.3))
+        self.write(self.results, "micro_chip",
+                   self.micro_chip_rows(10.0, 1.0, 1.0, 0.4, 0.3))
+        code, out = self.run_gate()
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("dense, scalar / accum", out)
+
+    def test_micro_chip_missing_calibration_row_fails(self):
+        self.write(self.baselines, "micro_chip",
+                   self.micro_chip_rows(10.0, 2.0, 1.0, 0.4, 0.3))
+        self.write(self.results, "micro_chip",
+                   self.micro_chip_rows(10.0, 2.0, 1.0, 0.4)[:2])
+        code, out = self.run_gate()
+        self.assertEqual(code, 1, out)
+        self.assertIn("normalization row 'calibration' missing", out)
 
     def test_micro_chip_sparse_context_row_is_not_gated(self):
         # A results row that the committed baseline omits (here the

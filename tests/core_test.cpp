@@ -287,6 +287,39 @@ TEST(Deployment, CheckpointRestoresBehaviour) {
     std::filesystem::remove(path);
 }
 
+TEST(Deployment, CheckpointOfAnotherConvStackIsRejected) {
+    // A checkpoint restores weights by list position; one whose frozen conv
+    // weights differ (another stack, or the channel-major conv order of
+    // files written before the conv placement) must not load silently.
+    auto stack = [](std::int32_t w0) {
+        neuro::snn::ConvertedStack s;
+        s.conv1.spec = {1, 8, 8, 2, 3, 1};
+        s.conv1.weights.assign(2 * 9, 3);
+        s.conv1.weights[0] = w0;
+        s.conv1.bias.assign(s.conv1.spec.out_size(), 1);
+        s.conv1.vth = 8;
+        s.conv2.spec = {2, 6, 6, 2, 3, 1};
+        s.conv2.weights.assign(2 * 2 * 9, 2);
+        s.conv2.bias.assign(s.conv2.spec.out_size(), 1);
+        s.conv2.vth = 8;
+        return s;
+    };
+    const auto a = stack(3);
+    const auto b = stack(-5);
+    EmstdpOptions opt;
+    EmstdpNetwork saved(opt, 1, 8, 8, &a, {6}, 2);
+    const std::string path = testing::TempDir() + "/neuro_conv_ckpt.bin";
+    saved.save(path);
+
+    EmstdpNetwork same(opt, 1, 8, 8, &a, {6}, 2);
+    EXPECT_NO_THROW(same.load(path));
+    EmstdpNetwork other(opt, 1, 8, 8, &b, {6}, 2);
+    const auto before = other.chip().weights(0);
+    EXPECT_THROW(other.load(path), std::runtime_error);
+    EXPECT_EQ(other.chip().weights(0), before);  // left as it was
+    std::filesystem::remove(path);
+}
+
 TEST(Determinism, SameSeedsSameChipWeights) {
     Rng rng(21);
     ToyTask task(12, 3, rng);

@@ -221,3 +221,73 @@ TEST(Energy, RejectsDegenerateInputs) {
     EXPECT_THROW(estimate_energy(EnergyModelParams{}, chip, chip.activity(), 0),
                  std::invalid_argument);  // zero samples
 }
+
+TEST(Energy, PopulationCountsSplitTheTotalsExactly) {
+    // Per-population counts (synops charged to the emitting population) sum
+    // to ActivityTotals in both kernel modes, copy with the chip and reset
+    // with it; estimate_energy reports them per layer.
+    auto run = [](bool simd) {
+        Chip chip = sweep_chip(100, 200, 10);
+        chip.set_vector_sweep(simd);
+        std::vector<std::int32_t> bias(200);
+        for (std::size_t i = 0; i < bias.size(); ++i)
+            bias[i] = static_cast<std::int32_t>(i % 17);
+        chip.set_bias(0, bias);
+        chip.insert_spike(0, 3);
+        chip.run(96);
+        return chip;
+    };
+    Chip scalar = run(false);
+    Chip simd = run(true);
+    for (const Chip* chip : {&scalar, &simd}) {
+        const auto& pops = chip->population_activity();
+        ASSERT_EQ(pops.size(), 2u);
+        PopulationActivity sum;
+        for (const auto& p : pops) {
+            sum.compartment_updates += p.compartment_updates;
+            sum.synaptic_ops += p.synaptic_ops;
+            sum.spikes += p.spikes;
+        }
+        EXPECT_EQ(sum.compartment_updates, chip->activity().compartment_updates);
+        EXPECT_EQ(sum.synaptic_ops, chip->activity().synaptic_ops);
+        EXPECT_EQ(sum.spikes, chip->activity().spikes);
+        // Only the features population has a fan-out.
+        EXPECT_GT(pops[0].synaptic_ops, 0u);
+        EXPECT_EQ(pops[1].synaptic_ops, 0u);
+        EXPECT_EQ(pops[0].compartment_updates, 200u * 96u);
+    }
+    for (std::size_t p = 0; p < 2; ++p) {
+        const auto& a = scalar.population_activity()[p];
+        const auto& b = simd.population_activity()[p];
+        EXPECT_EQ(a.compartment_updates, b.compartment_updates);
+        EXPECT_EQ(a.synaptic_ops, b.synaptic_ops);
+        EXPECT_EQ(a.spikes, b.spikes);
+    }
+
+    const EnergyModelParams params;
+    const auto& t = simd.activity();
+    const auto r = estimate_energy(params, simd, t, 2);
+    ASSERT_EQ(r.populations.size(), 2u);
+    EXPECT_EQ(r.populations[0].name, "features");
+    EXPECT_EQ(r.populations[1].name, "hidden");
+    double event_j = 0.0;
+    for (const auto& p : r.populations) event_j += p.event_energy_j;
+    const double expected =
+        (params.synop_energy_j * static_cast<double>(t.synaptic_ops) +
+         params.update_energy_j * static_cast<double>(t.compartment_updates) +
+         params.spike_energy_j * static_cast<double>(t.spikes)) /
+        2.0;
+    EXPECT_NEAR(event_j, expected, expected * 1e-12);
+    EXPECT_DOUBLE_EQ(r.populations[0].synaptic_ops,
+                     static_cast<double>(t.synaptic_ops) / 2.0);
+    EXPECT_GT(r.populations[0].energy_per_synop_j, params.synop_energy_j);
+    EXPECT_EQ(r.populations[1].energy_per_synop_j, 0.0);
+
+    Chip copy = simd;
+    EXPECT_EQ(copy.population_activity()[0].spikes,
+              simd.population_activity()[0].spikes);
+    copy.reset_activity();
+    EXPECT_EQ(copy.population_activity()[0].spikes, 0u);
+    EXPECT_EQ(copy.population_activity()[0].synaptic_ops, 0u);
+    EXPECT_GT(simd.population_activity()[0].spikes, 0u);  // copies are independent
+}

@@ -303,6 +303,46 @@ TEST(Runtime, SpecValidationRejectsNonsense) {
         std::invalid_argument);
 }
 
+TEST(Runtime, SpecValidationRejectsBrokenConvGeometry) {
+    auto stack_spec = [] {
+        snn::ConvertedStack stack;
+        stack.conv1.spec = {1, kSide, kSide, 2, 3, 1};
+        stack.conv1.weights.assign(2 * stack.conv1.spec.fan_in(), 1);
+        stack.conv1.bias.assign(stack.conv1.spec.out_size(), 0);
+        stack.conv2.spec = {2, stack.conv1.spec.out_h(), stack.conv1.spec.out_w(),
+                            1, 3, 1};
+        stack.conv2.weights.assign(stack.conv2.spec.fan_in(), 1);
+        stack.conv2.bias.assign(stack.conv2.spec.out_size(), 0);
+        return stack;
+    };
+    auto compile = [](const snn::ConvertedStack& stack) {
+        auto spec = small_spec();
+        spec.with_conv(stack);
+        return runtime::CompiledModel::compile(spec,
+                                               runtime::BackendKind::LoihiSim);
+    };
+    EXPECT_NO_THROW(compile(stack_spec()));
+
+    // A zero stride used to divide by zero in ConvSpec::out_size().
+    auto zero_stride = stack_spec();
+    zero_stride.conv1.spec.stride = 0;
+    EXPECT_THROW(compile(zero_stride), std::invalid_argument);
+    zero_stride = stack_spec();
+    zero_stride.conv2.spec.stride = 0;
+    EXPECT_THROW(compile(zero_stride), std::invalid_argument);
+
+    // conv2 must read exactly conv1's output: its sources are conv1's
+    // placed compartments.
+    auto channels = stack_spec();
+    channels.conv2.spec.in_c = 1;
+    channels.conv2.weights.assign(channels.conv2.spec.fan_in(), 1);
+    EXPECT_THROW(compile(channels), std::invalid_argument);
+    auto height = stack_spec();
+    height.conv2.spec.in_h -= 1;
+    height.conv2.bias.assign(height.conv2.spec.out_size(), 0);
+    EXPECT_THROW(compile(height), std::invalid_argument);
+}
+
 // ---- checkpointing ---------------------------------------------------------
 
 TEST(Runtime, SnapshotSaveLoadRoundTrip) {

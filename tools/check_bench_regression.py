@@ -28,8 +28,10 @@ import sys
 # `max_metrics` are lower-is-better columns (latency-style: the gate fails
 # when current exceeds baseline * (1 + tolerance)); `normalize_by` names
 # the reference row whose metric value divides every row's (same-run
-# normalization); `min_baseline` skips rows whose baseline value carries
-# no signal (e.g. chance-level accuracy at smoke scale); `tolerance`
+# normalization), or maps each metric to its own reference row (reference
+# rows only normalize and are never gated); `min_baseline` skips rows
+# whose baseline value carries no signal (e.g. chance-level accuracy at
+# smoke scale); `tolerance`
 # overrides the CLI-wide --tolerance for that one bench (tight gates like
 # the tracing-overhead rule want 5% where throughput gates need 20%).
 #
@@ -49,16 +51,19 @@ RULES = {
         "metrics": ["fa_chip", "dfa_chip"],
         "min_baseline": 0.25,
     },
-    # Chip kernel phases: per-phase costs are normalized by the same-run
-    # scalar-reference row, so the gate tracks the simd/scalar ratio of the
-    # membrane sweep and the synaptic accumulation (lower is better) — a
-    # machine-independent measure of whether the SoA lane kernels still
-    # engage. A results row absent from the committed baseline (none today)
-    # would ride along ungated.
+    # Chip kernel phases (lower is better), each normalized by a same-run
+    # row so the gate is a machine-independent measure of whether the SoA
+    # lane kernels still engage. The sweep is normalized by the scalar
+    # reference row. The accumulation is normalized by the calibration row,
+    # a fixed-work accumulate loop outside the chip: dividing by the scalar
+    # oracle instead made a faster oracle read as a simd regression. Only
+    # the simd row is gated; a results row absent from the committed
+    # baseline would ride along ungated.
     "micro_chip": {
         "key": "config",
         "max_metrics": ["sweep_ns_per_compartment", "accum_ns_per_event"],
-        "normalize_by": "dense, scalar",
+        "normalize_by": {"sweep_ns_per_compartment": "dense, scalar",
+                         "accum_ns_per_event": "calibration"},
     },
     # Serving scale-out: each config's request rate is normalized by the
     # same-run single-worker unbatched rate, so the gate tracks the
@@ -147,8 +152,18 @@ def all_metrics(rule):
     return list(rule.get("metrics", [])) + list(rule.get("max_metrics", []))
 
 
+def reference_rows(rule):
+    """Maps each gated metric to the key of its normalization row."""
+    ref = rule.get("normalize_by")
+    if ref is None:
+        return {}
+    if isinstance(ref, str):
+        return {metric: ref for metric in all_metrics(rule)}
+    return dict(ref)
+
+
 def normalized(rows_by_key, rule):
-    ref_key = rule.get("normalize_by")
+    refs = reference_rows(rule)
     out = {}
     for key, row in rows_by_key.items():
         out[key] = {}
@@ -156,6 +171,7 @@ def normalized(rows_by_key, rule):
             value = row.get(metric)
             if not isinstance(value, (int, float)):
                 continue
+            ref_key = refs.get(metric)
             if ref_key is not None:
                 ref = rows_by_key.get(ref_key, {}).get(metric)
                 if not isinstance(ref, (int, float)) or ref == 0:
@@ -177,9 +193,10 @@ def check_bench(name, baseline_path, results_path, tolerance):
     cur = normalized(cur_rows, rule)
 
     failures = []
+    ref_keys = set(reference_rows(rule).values())
     for key, metrics in sorted(base.items()):
-        if key == rule.get("normalize_by"):
-            continue  # the reference row is 1.0 by construction
+        if key in ref_keys:
+            continue  # reference rows only normalize
         if key not in cur:
             failures.append(f"{name}: row '{key}' missing from results")
             continue
