@@ -23,6 +23,7 @@
 // full-scale trend points.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -169,21 +170,33 @@ PhaseResult measure_once(std::size_t n, std::size_t steps, std::size_t spikes,
     return out;
 }
 
-/// Best-of-`reps` per phase. Each rep runs on a fresh chip; the minimum is
-/// the standard scheduler-noise-free estimate for a short microbench (CI
-/// runners are shared machines, and the gate compares per-phase *ratios*,
-/// which a single preempted rep would skew by 2x or more).
-PhaseResult measure(std::size_t n, std::size_t steps, std::size_t spikes,
-                    std::size_t reps, bool simd, Calibration& calib) {
-    PhaseResult best = measure_once(n, steps, spikes, simd, calib);
-    for (std::size_t r = 1; r < reps; ++r) {
-        const PhaseResult cur = measure_once(n, steps, spikes, simd, calib);
-        best.sweep_ns_per_compartment =
-            std::min(best.sweep_ns_per_compartment, cur.sweep_ns_per_compartment);
-        best.accum_ns_per_event =
-            std::min(best.accum_ns_per_event, cur.accum_ns_per_event);
-        best.calib_ns_per_add = std::min(best.calib_ns_per_add, cur.calib_ns_per_add);
-    }
+/// Best-of-`reps` per phase, for both kernel modes: [0] scalar, [1] simd.
+/// Each rep runs the scalar then the simd kernels, each on a fresh chip,
+/// so host contention lands on both modes alike rather than on one block
+/// of reps, which would move the simd/scalar ratio the sweep gate reads.
+/// The minimum is the standard scheduler-noise-free estimate for a short
+/// microbench (CI runners are shared machines, and a single preempted rep
+/// would skew a per-phase ratio by 2x or more).
+std::array<PhaseResult, 2> measure(std::size_t n, std::size_t steps,
+                                   std::size_t spikes, std::size_t reps,
+                                   Calibration& calib) {
+    std::array<PhaseResult, 2> best;
+    for (std::size_t r = 0; r < std::max<std::size_t>(reps, 1); ++r)
+        for (std::size_t mode = 0; mode < best.size(); ++mode) {
+            const PhaseResult cur =
+                measure_once(n, steps, spikes, mode == 1, calib);
+            PhaseResult& b = best[mode];
+            if (r == 0) {
+                b = cur;
+                continue;
+            }
+            b.sweep_ns_per_compartment = std::min(b.sweep_ns_per_compartment,
+                                                  cur.sweep_ns_per_compartment);
+            b.accum_ns_per_event =
+                std::min(b.accum_ns_per_event, cur.accum_ns_per_event);
+            b.calib_ns_per_add =
+                std::min(b.calib_ns_per_add, cur.calib_ns_per_add);
+        }
     return best;
 }
 
@@ -261,32 +274,26 @@ int main(int argc, char** argv) {
                             "accum_ns_per_event", "spikes_delivered",
                             "synaptic_events"});
 
-    struct Mode {
-        const char* name;
-        bool simd;
-    };
-    // The names are the committed baseline's row keys.
-    const Mode modes[] = {
-        {"dense, scalar", false},
-        {"dense, simd", true},
-    };
+    // The names are the committed baseline's row keys, in measure()'s
+    // mode order.
+    const char* const names[] = {"dense, scalar", "dense, simd"};
     Calibration calib(n);
-    double calib_ns = 0.0;
-    for (const Mode& m : modes) {
-        const PhaseResult r = measure(n, steps, spikes, reps, m.simd, calib);
-        // The gate normalizes the simd row, so its reps time the calibration.
-        if (m.simd) calib_ns = r.calib_ns_per_add;
+    const auto results = measure(n, steps, spikes, reps, calib);
+    for (std::size_t mode = 0; mode < results.size(); ++mode) {
+        const PhaseResult& r = results[mode];
         table.add_row(
-            {m.name, common::Table::fmt(r.sweep_ns_per_compartment, 3),
+            {names[mode], common::Table::fmt(r.sweep_ns_per_compartment, 3),
              common::Table::fmt(r.accum_ns_per_event, 3),
              std::to_string(r.spikes_delivered),
              std::to_string(r.synaptic_events)});
         json.add_row(
-            {m.name, common::Table::fmt(r.sweep_ns_per_compartment, 4),
+            {names[mode], common::Table::fmt(r.sweep_ns_per_compartment, 4),
              common::Table::fmt(r.accum_ns_per_event, 4),
              std::to_string(r.spikes_delivered),
              std::to_string(r.synaptic_events)});
     }
+    // The gate normalizes the simd row, so its reps time the calibration.
+    const double calib_ns = results[1].calib_ns_per_add;
     // The accumulation gate's normalization row (no sweep column).
     table.add_row({"calibration", "-", common::Table::fmt(calib_ns, 3), "-",
                    std::to_string(spikes * (n / 4))});

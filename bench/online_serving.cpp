@@ -193,11 +193,6 @@ int main(int argc, char** argv) {
             oopt.publish_interval = interval;
             oopt.seed = seed;
             oopt.max_regression = 0.05;
-            // Drain one sample at a time: long learner bursts between
-            // yields are exactly what inflates the serving tail when the
-            // learner shares cores with the pool.
-            oopt.feedback_batch =
-                static_cast<std::size_t>(cli.get_int("feedback_batch", 1));
             oopt.registry_dir = registry_dir.string();
             online::OnlineEngine engine(model, server.feedback_queue(),
                                         holdout, oopt);

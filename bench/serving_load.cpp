@@ -29,7 +29,7 @@
 // session pools instead of one.
 //
 // CLI: --requests=N per config, --workers=MAX (sweeps 1,2,..,MAX),
-//      --batch=B (micro-batch cap), --clients=C, --queue=Q, --delay_us=D,
+//      --batch=B (micro-batch cap), --clients=C, --queue=Q,
 //      --seed=S (Poisson stream), --rate_x=F (offered = F * capacity),
 //      --socket=0 (skip the socket section), --models=M (tenant sweep
 //      1,2,..,M; 0 skips it), --trace=0 (skip the tracing-tax section),
@@ -83,13 +83,11 @@ struct LoadRow {
 };
 
 serve::ServerOptions make_options(std::size_t workers, std::size_t batch,
-                                  std::size_t queue, std::uint64_t delay_us,
-                                  serve::Backpressure bp) {
+                                  std::size_t queue, serve::Backpressure bp) {
     serve::ServerOptions opt;
     opt.workers = workers;
     opt.queue_capacity = queue;
     opt.batch.max_batch = batch;
-    opt.batch.max_delay_us = delay_us;
     opt.backpressure = bp;
     return opt;
 }
@@ -99,11 +97,9 @@ serve::ServerOptions make_options(std::size_t workers, std::size_t batch,
 LoadRow run_closed(const std::shared_ptr<const runtime::CompiledModel>& model,
                    const data::Dataset& images, std::size_t workers,
                    std::size_t batch, std::size_t requests,
-                   std::size_t clients, std::size_t queue,
-                   std::uint64_t delay_us) {
-    serve::Server server(model,
-                         make_options(workers, batch, queue, delay_us,
-                                      serve::Backpressure::Block));
+                   std::size_t clients, std::size_t queue) {
+    serve::Server server(model, make_options(workers, batch, queue,
+                                             serve::Backpressure::Block));
     server.start();
     common::ThreadPool pool(clients);
     const auto t0 = std::chrono::steady_clock::now();
@@ -135,11 +131,11 @@ LoadRow run_closed(const std::shared_ptr<const runtime::CompiledModel>& model,
 LoadRow run_open(const std::shared_ptr<const runtime::CompiledModel>& model,
                  const data::Dataset& images, std::size_t workers,
                  std::size_t batch, std::size_t requests, double offered_rps,
-                 std::size_t queue, std::uint64_t delay_us, std::uint64_t seed,
+                 std::size_t queue, std::uint64_t seed,
                  serve::AdmissionConfig admission = {},
                  std::uint64_t deadline_us = 0, std::string label = {}) {
     auto options =
-        make_options(workers, batch, queue, delay_us, serve::Backpressure::Shed);
+        make_options(workers, batch, queue, serve::Backpressure::Shed);
     options.admission = admission;
     serve::Server server(model, options);
     server.start();
@@ -189,12 +185,10 @@ LoadRow run_open(const std::shared_ptr<const runtime::CompiledModel>& model,
 LoadRow run_trace(const std::shared_ptr<const runtime::CompiledModel>& model,
                   const data::Dataset& images, std::size_t workers,
                   std::size_t batch, std::size_t requests, std::size_t clients,
-                  std::size_t queue, std::uint64_t delay_us, bool trace,
-                  double* span_cover = nullptr) {
+                  std::size_t queue, bool trace, double* span_cover = nullptr) {
     obs::set_timing(trace);
-    serve::Server server(model,
-                         make_options(workers, batch, queue, delay_us,
-                                      serve::Backpressure::Block));
+    serve::Server server(model, make_options(workers, batch, queue,
+                                             serve::Backpressure::Block));
     server.start();
     std::atomic<std::uint64_t> span_sum_us{0};
     std::atomic<std::uint64_t> wall_sum_us{0};
@@ -369,9 +363,8 @@ struct SocketHarness {
 LoadRow run_socket_closed(
     const std::shared_ptr<const runtime::CompiledModel>& model,
     const data::Dataset& images, std::size_t workers, std::size_t batch,
-    std::size_t requests, std::size_t clients, std::size_t queue,
-    std::uint64_t delay_us) {
-    SocketHarness h(model, make_options(workers, batch, queue, delay_us,
+    std::size_t requests, std::size_t clients, std::size_t queue) {
+    SocketHarness h(model, make_options(workers, batch, queue,
                                         serve::Backpressure::Shed));
     const auto c = drive_socket_closed(h.dopt.data_path, images, clients,
                                        requests);
@@ -390,8 +383,8 @@ LoadRow run_socket_open(
     const std::shared_ptr<const runtime::CompiledModel>& model,
     const data::Dataset& images, std::size_t workers, std::size_t batch,
     std::size_t requests, double offered_rps, std::size_t queue,
-    std::uint64_t delay_us, std::uint64_t seed) {
-    SocketHarness h(model, make_options(workers, batch, queue, delay_us,
+    std::uint64_t seed) {
+    SocketHarness h(model, make_options(workers, batch, queue,
                                         serve::Backpressure::Shed));
     const auto c = drive_socket_open(h.dopt.data_path, images, requests,
                                      offered_rps, seed);
@@ -427,13 +420,12 @@ FleetRow run_multimodel(
     const std::shared_ptr<const runtime::CompiledModel>& model,
     const data::Dataset& images, std::size_t workers, std::size_t batch,
     std::size_t requests, std::size_t clients, std::size_t queue,
-    std::uint64_t delay_us, const std::string& fleet_dir,
-    const std::vector<std::string>& names, std::size_t models) {
+    const std::string& fleet_dir, const std::vector<std::string>& names,
+    std::size_t models) {
     serve::RouterOptions ropt;
     ropt.workers = workers;
     ropt.queue_capacity = queue;
     ropt.batch.max_batch = batch;
-    ropt.batch.max_delay_us = delay_us;
     ropt.backpressure = serve::Backpressure::Block;
     ropt.fleet_dir = fleet_dir;
     serve::ModelRouter router(model, ropt);
@@ -478,8 +470,6 @@ int main(int argc, char** argv) {
     const auto clients = static_cast<std::size_t>(
         cli.get_int("clients", static_cast<std::int64_t>(2 * max_workers)));
     const auto queue = static_cast<std::size_t>(cli.get_int("queue", 128));
-    const auto delay_us =
-        static_cast<std::uint64_t>(cli.get_int("delay_us", 200));
     const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 17));
     const double rate_x = cli.get_double("rate_x", 1.5);
     // Overload sweep (tail-latency engineering, docs/ARCHITECTURE.md §10):
@@ -551,20 +541,20 @@ int main(int argc, char** argv) {
 
     // ---- closed-loop worker sweep at batch=1, then micro-batched -----------
     for (std::size_t w = 1; w <= max_workers; w *= 2)
-        rows.push_back(run_closed(model, images, w, 1, requests, clients,
-                                  queue, delay_us));
+        rows.push_back(
+            run_closed(model, images, w, 1, requests, clients, queue));
     if (max_workers > 1 && (max_workers & (max_workers - 1)) != 0)
         rows.push_back(run_closed(model, images, max_workers, 1, requests,
-                                  clients, queue, delay_us));
+                                  clients, queue));
     if (batch > 1)
         rows.push_back(run_closed(model, images, max_workers, batch, requests,
-                                  clients, queue, delay_us));
+                                  clients, queue));
 
     // ---- open-loop Poisson overload at rate_x times measured capacity ------
     double capacity = 0.0;
     for (const auto& r : rows) capacity = std::max(capacity, r.throughput_rps);
     rows.push_back(run_open(model, images, max_workers, batch, requests,
-                            rate_x * capacity, queue, delay_us, seed));
+                            rate_x * capacity, queue, seed));
 
     // ---- report ------------------------------------------------------------
     common::Table table({"configuration", "req/s", "vs 1 worker", "p50 us",
@@ -648,14 +638,14 @@ int main(int argc, char** argv) {
     codel_cfg.codel.target_us = codel_target_us;
     codel_cfg.codel.interval_us = codel_interval_us;
     orows.push_back(run_open(model, images, max_workers, batch,
-                             overload_requests, overload_rps, queue, delay_us,
-                             seed, {}, 0, "overload, shed-only"));
+                             overload_requests, overload_rps, queue, seed, {},
+                             0, "overload, shed-only"));
     orows.push_back(run_open(model, images, max_workers, batch,
-                             overload_requests, overload_rps, queue, delay_us,
-                             seed, codel_cfg, 0, "overload, codel"));
+                             overload_requests, overload_rps, queue, seed,
+                             codel_cfg, 0, "overload, codel"));
     orows.push_back(run_open(model, images, max_workers, batch,
-                             overload_requests, overload_rps, queue, delay_us,
-                             seed, codel_cfg, deadline_us,
+                             overload_requests, overload_rps, queue, seed,
+                             codel_cfg, deadline_us,
                              "overload, codel+deadline"));
 
     common::Table otable({"configuration", "goodput req/s", "p99 us",
@@ -719,9 +709,9 @@ int main(int argc, char** argv) {
         std::vector<LoadRow> trows;
         double cover = 0.0;
         trows.push_back(run_trace(model, images, max_workers, batch, requests,
-                                  clients, queue, delay_us, false));
+                                  clients, queue, false));
         trows.push_back(run_trace(model, images, max_workers, batch, requests,
-                                  clients, queue, delay_us, true, &cover));
+                                  clients, queue, true, &cover));
         const double off_rps = trows.front().throughput_rps;
 
         common::Table ttable({"configuration", "req/s", "vs trace-off",
@@ -783,11 +773,11 @@ int main(int argc, char** argv) {
         inproc.config = "inproc";
         srows.push_back(inproc);
         srows.push_back(run_socket_closed(model, images, max_workers, batch,
-                                          requests, clients, queue, delay_us));
+                                          requests, clients, queue));
         const double socket_capacity = srows.back().throughput_rps;
         srows.push_back(run_socket_open(model, images, max_workers, batch,
                                         requests, rate_x * socket_capacity,
-                                        queue, delay_us, seed));
+                                        queue, seed));
 
         common::Table stable({"configuration", "req/s", "vs in-process",
                               "p50 us", "p99 us", "shed"});
@@ -861,11 +851,11 @@ int main(int argc, char** argv) {
         std::vector<FleetRow> mrows;
         for (std::size_t m = 1; m <= max_models; m *= 2)
             mrows.push_back(run_multimodel(model, images, max_workers, batch,
-                                           requests, clients, queue, delay_us,
+                                           requests, clients, queue,
                                            fleet.string(), names, m));
         if (max_models > 1 && (max_models & (max_models - 1)) != 0)
             mrows.push_back(run_multimodel(model, images, max_workers, batch,
-                                           requests, clients, queue, delay_us,
+                                           requests, clients, queue,
                                            fleet.string(), names, max_models));
 
         common::Table mtable({"configuration", "req/s", "vs models=1",

@@ -1,7 +1,8 @@
 // Learning while serving, end to end (docs/ARCHITECTURE.md §9):
 //
 //   1. compile a model and put a serve::Server pool on it,
-//   2. attach an online::OnlineEngine to the server's feedback queue,
+//   2. attach an online::OnlineEngine to the server's feedback queue (the
+//      learner takes one sample at a time, in arrival order),
 //   3. stream labeled feedback while inference traffic keeps flowing,
 //   4. watch versions pass the shadow-eval gate, get published, be adopted
 //      by the pool at batch boundaries, and land in the on-disk registry.
@@ -49,7 +50,6 @@ int main() {
     online::OnlineOptions oopt;
     oopt.publish_interval = 120;  // shadow-eval + publish every 120 samples
     oopt.max_regression = 0.05;   // candidates may not regress > 5 points
-    oopt.feedback_batch = 1;
     oopt.registry_dir = registry_dir.string();
     online::OnlineEngine engine(model, server.feedback_queue(), holdout, oopt);
 

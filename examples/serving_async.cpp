@@ -5,8 +5,8 @@
 // request/response shape of a live service:
 //   1. Train a model and freeze it into a servable CompiledModel.
 //   2. Stand up a serve::Server — worker sessions, a bounded request
-//      queue, and a micro-batching scheduler (dispatch when the batch
-//      fills or max_delay_us elapses, whichever first).
+//      queue, and a micro-batching scheduler (a free worker takes what is
+//      queued, up to max_batch, and never waits for more).
 //   3. Fire-and-forget submit() from the client side; each call returns a
 //      future-backed InferenceHandle immediately.
 //   4. Collect results, then read the server's latency histogram
@@ -61,14 +61,11 @@ int main(int argc, char** argv) {
     opt.workers = workers;
     opt.queue_capacity = 256;
     opt.batch.max_batch = batch;
-    opt.batch.max_delay_us = 200;
     opt.backpressure = serve::Backpressure::Block;
     serve::Server server(servable, opt);
     server.start();
-    std::printf("server up: %zu workers, queue %zu, micro-batch <=%zu or "
-                "%llu us\n",
-                opt.workers, opt.queue_capacity, opt.batch.max_batch,
-                static_cast<unsigned long long>(opt.batch.max_delay_us));
+    std::printf("server up: %zu workers, queue %zu, micro-batch <=%zu\n",
+                opt.workers, opt.queue_capacity, opt.batch.max_batch);
 
     // ---- 3. async submission, 4. results + stats ---------------------------
     std::vector<serve::InferenceHandle> handles;

@@ -221,12 +221,15 @@ int Daemon::listen_tcp(std::uint16_t port) {
 }
 
 void Daemon::setup_listeners() {
+    // Control first: a client that waits for the data socket to appear
+    // (test harnesses, CI's neurod smoke) then finds the control socket
+    // bound too, and can send control commands without a second wait.
+    if (!options_.control_path.empty())
+        listeners_.emplace_back(listen_unix(options_.control_path), true);
     if (!options_.data_path.empty())
         listeners_.emplace_back(listen_unix(options_.data_path), false);
     if (options_.tcp_port != 0)
         listeners_.emplace_back(listen_tcp(options_.tcp_port), false);
-    if (!options_.control_path.empty())
-        listeners_.emplace_back(listen_unix(options_.control_path), true);
     for (const auto& [fd, control] : listeners_) {
         const bool is_control = control;
         const int lfd = fd;

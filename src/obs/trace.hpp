@@ -7,9 +7,14 @@
 // boundary of the request path:
 //
 //   t_intake ──► t_dequeue ──► t_dispatch ──► t_compute_done ──► t_complete
-//     submit      admission      batch            session           resolve /
-//     accepted    dequeued       collected,       predict            flush
+//     submit      admission      its turn in      session           resolve /
+//     accepted    dequeued       the batch,       predict            flush
 //                                slot acquired    returned
+//
+// A worker takes what is queued (serve::collect_admitted) and never waits
+// for a batch to fill, then runs the batch one predict per request in
+// order — so the batch span is the wait behind earlier requests of the
+// same batch.
 //
 // The derived spans telescope: queue + batch + compute + resolve ==
 // t_complete - t_intake, which is exactly the wall latency the router
@@ -32,7 +37,7 @@ struct TraceContext {
     bool enabled = false;       ///< untraced requests skip every stamp
     std::uint64_t t_intake_us = 0;        ///< accepted into the queue
     std::uint64_t t_dequeue_us = 0;       ///< left admission (dequeued)
-    std::uint64_t t_dispatch_us = 0;      ///< batch collected, slot acquired
+    std::uint64_t t_dispatch_us = 0;      ///< its turn in batch, slot acquired
     std::uint64_t t_compute_done_us = 0;  ///< session predict returned
     std::uint64_t t_complete_us = 0;      ///< result resolved / flushed
     std::uint64_t kernel_sweep_ns = 0;    ///< chip integrate/spike sweep
@@ -60,7 +65,7 @@ struct TraceContext {
 /// echo, the slow-request flight-recorder events, and ARCHITECTURE §14.
 enum class SpanId : std::uint8_t {
     QueueUs = 1,      ///< intake → admission dequeue
-    BatchUs = 2,      ///< dequeue → batch collected / slot acquired
+    BatchUs = 2,      ///< dequeue → its turn in the batch (slot acquired)
     ComputeUs = 3,    ///< dispatch → predict returned
     ResolveUs = 4,    ///< predict returned → resolved/flushed
     KernelSweepNs = 5,///< chip sweep share of compute (nanoseconds)

@@ -35,8 +35,6 @@ OnlineEngine::OnlineEngine(std::shared_ptr<const runtime::CompiledModel> model,
         throw std::invalid_argument("OnlineEngine: empty holdout set");
     if (opt_.publish_interval == 0)
         throw std::invalid_argument("OnlineEngine: zero publish_interval");
-    if (opt_.feedback_batch == 0)
-        throw std::invalid_argument("OnlineEngine: zero feedback_batch");
     if (!opt_.registry_dir.empty())
         registry_ = std::make_unique<ModelRegistry>(opt_.registry_dir);
 }
@@ -100,49 +98,55 @@ OnlineStats OnlineEngine::stats() const {
 }
 
 void OnlineEngine::learner_loop() {
-    serve::BatchPolicy policy;
-    policy.max_batch = opt_.feedback_batch;
-    policy.max_delay_us = opt_.feedback_wait_us;
-    std::vector<serve::FeedbackSample> batch;
-    while (serve::collect_batch(*feedback_, policy, batch)) {
-        for (const serve::FeedbackSample& sample : batch) {
-            // This engine trains the DEFAULT model only; a sample addressed
-            // to a fleet entry is another tenant's learning material
-            // (serve/feedback.hpp) — skip it without charging the stats.
-            if (!sample.model.empty()) continue;
-            // A bad sample (or a failing registry disk) must never
-            // std::terminate the process that is also serving traffic:
-            // count it, skip it, keep learning.
-            try {
-                replay_->add(sample.image, sample.label);
-                const bool hit = core::train_prequential(*learner_, sample.image,
-                                                         sample.label);
-                std::uint64_t replay_trained = 0;
-                for (const auto& r : replay_->draw(opt_.replay_per_sample)) {
-                    learner_->train(r.image, r.label);
-                    ++replay_trained;
-                }
-                std::lock_guard<std::mutex> lock(stats_m_);
-                ++stats_.feedback_seen;
-                stats_.trained += 1 + replay_trained;
-                if (hit) ++stats_.prequential_hits;
-            } catch (const std::exception&) {
-                std::lock_guard<std::mutex> lock(stats_m_);
-                ++stats_.feedback_seen;
-                ++stats_.errors;
-                continue;
+    // One sample at a time, in queue order, as the paper learns (Sec.
+    // IV-A): the trajectory depends only on the order of the feedback.
+    serve::Admitted<serve::FeedbackSample> next;
+    std::vector<serve::Dropped<serve::FeedbackSample>> drops;
+    for (;;) {
+        // Shed samples are discarded: the queue already counted them
+        // (AdmissionCounters), and stale feedback needs no resolution.
+        drops.clear();
+        if (!feedback_->pop(next, drops)) {
+            if (drops.empty()) return;  // closed and drained
+            continue;
+        }
+        const serve::FeedbackSample& sample = next.value;
+        // This engine trains the DEFAULT model only; a sample addressed
+        // to a fleet entry is another tenant's learning material
+        // (serve/feedback.hpp) — skip it without charging the stats.
+        if (!sample.model.empty()) continue;
+        // A bad sample (or a failing registry disk) must never
+        // std::terminate the process that is also serving traffic:
+        // count it, skip it, keep learning.
+        try {
+            replay_->add(sample.image, sample.label);
+            const bool hit =
+                core::train_prequential(*learner_, sample.image, sample.label);
+            std::uint64_t replay_trained = 0;
+            for (const auto& r : replay_->draw(opt_.replay_per_sample)) {
+                learner_->train(r.image, r.label);
+                ++replay_trained;
             }
-            if (++since_candidate_ >= opt_.publish_interval) {
-                since_candidate_ = 0;
-                try {
-                    evaluate_candidate();
-                } catch (const std::exception&) {
-                    // Unpublished by construction (persist-before-publish);
-                    // the learner keeps its weights and the next interval
-                    // retries the gate.
-                    std::lock_guard<std::mutex> lock(stats_m_);
-                    ++stats_.errors;
-                }
+            std::lock_guard<std::mutex> lock(stats_m_);
+            ++stats_.feedback_seen;
+            stats_.trained += 1 + replay_trained;
+            if (hit) ++stats_.prequential_hits;
+        } catch (const std::exception&) {
+            std::lock_guard<std::mutex> lock(stats_m_);
+            ++stats_.feedback_seen;
+            ++stats_.errors;
+            continue;
+        }
+        if (++since_candidate_ >= opt_.publish_interval) {
+            since_candidate_ = 0;
+            try {
+                evaluate_candidate();
+            } catch (const std::exception&) {
+                // Unpublished by construction (persist-before-publish);
+                // the learner keeps its weights and the next interval
+                // retries the gate.
+                std::lock_guard<std::mutex> lock(stats_m_);
+                ++stats_.errors;
             }
         }
     }

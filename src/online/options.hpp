@@ -36,11 +36,6 @@ struct OnlineOptions {
     /// disables persistence — accepted versions then live only in memory.
     std::string registry_dir;
 
-    /// Learner-side micro-batch coalescing over the feedback queue (same
-    /// collect_batch mechanics as the serving workers).
-    std::size_t feedback_batch = 8;
-    std::uint64_t feedback_wait_us = 500;
-
     /// Seed of the replay pool's draw/reservoir streams; the whole learning
     /// trajectory is deterministic given the seed and the feedback order.
     std::uint64_t seed = 17;

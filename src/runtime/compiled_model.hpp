@@ -74,9 +74,11 @@ public:
     /// id (monotonic, starting at 1). Thread-safe; const because the channel
     /// — not the compiled structure — is what mutates. Sessions pick the new
     /// image up at their next refresh(); in-flight work is untouched.
-    std::uint64_t publish_weights(WeightSnapshot snap) const {
-        return channel_->publish(std::move(snap));
-    }
+    /// Throws std::invalid_argument, publishing nothing, unless this model's
+    /// sessions can load `snap`: the layer count and every layer size of
+    /// initial_weights(), and every weight within spec().options.weight_bits
+    /// signed bits. A session never meets an image it cannot load.
+    std::uint64_t publish_weights(WeightSnapshot snap) const;
 
     /// Id of the latest published version; 0 when nothing was published.
     std::uint64_t published_version() const { return channel_->version(); }

@@ -1,7 +1,10 @@
 #include "runtime/backend.hpp"
 
 #include <stdexcept>
+#include <string>
 
+#include "common/fixed.hpp"
+#include "runtime/compiled_model.hpp"
 #include "runtime/loihi_backend.hpp"
 #include "runtime/reference_backend.hpp"
 #include "runtime/session.hpp"
@@ -31,6 +34,30 @@ std::vector<const Backend*> backends() {
 std::shared_ptr<const CompiledModel> CompiledModel::compile(
     const ModelSpec& spec, BackendKind kind) {
     return backend_for(kind).compile(spec);
+}
+
+std::uint64_t CompiledModel::publish_weights(WeightSnapshot snap) const {
+    const WeightSnapshot loads = initial_weights();
+    const auto reject = [](const std::string& why) {
+        throw std::invalid_argument("publish_weights: " + why);
+    };
+    if (snap.layers.size() != loads.layers.size())
+        reject(std::to_string(snap.layers.size()) + " layers, the model has " +
+               std::to_string(loads.layers.size()));
+    const int bits = spec_.options.weight_bits;
+    for (std::size_t l = 0; l < loads.layers.size(); ++l) {
+        if (snap.layers[l].size() != loads.layers[l].size())
+            reject("layer " + std::to_string(l) + " has " +
+                   std::to_string(snap.layers[l].size()) +
+                   " weights, the model has " +
+                   std::to_string(loads.layers[l].size()));
+        for (const std::int32_t w : snap.layers[l])
+            if (w != common::saturate_signed(w, bits))
+                reject("layer " + std::to_string(l) + " weight " +
+                       std::to_string(w) + " exceeds " + std::to_string(bits) +
+                       " bits");
+    }
+    return channel_->publish(std::move(snap));
 }
 
 void Session::save(const std::string& path) const {

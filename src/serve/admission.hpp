@@ -33,7 +33,6 @@
 // to the pre-admission engine.
 
 #include <array>
-#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstddef>
@@ -102,16 +101,13 @@ struct CoDelState {
     std::uint64_t drop_next_us = 0;    ///< next scheduled head drop
 };
 
-/// Micro-batch coalescing policy (collect_admitted / collect_batch below).
-/// Coalescing trades at most max_delay_us of extra queueing for the first
-/// request in a batch for batch-sized dispatch units: EMSTDP inference
-/// runs in fixed-length phases, so requests dispatched together pipeline
-/// through one session without re-arming the worker in between.
+/// Micro-batch policy (collect_admitted below). A batch is whatever is
+/// already queued when a worker frees up, capped at max_batch; nothing
+/// waits for company. A batch runs as one predict per request on one
+/// session, so a wait would add latency and save no compute.
 struct BatchPolicy {
     /// Upper bound on requests per dispatch; 1 disables coalescing.
     std::size_t max_batch = 8;
-    /// How long a batch may wait for company after its first request.
-    std::uint64_t max_delay_us = 200;
 };
 
 /// A dequeued entry the caller may dispatch.
@@ -134,7 +130,7 @@ struct Dropped {
 };
 
 /// Bounded MPMC queue with admission control at the head: blocking push,
-/// shedding try_push, timed pop_until and close-drains-accepted, plus
+/// shedding try_push, non-blocking try_pop and close-drains-accepted, plus
 /// per-entry class + deadline metadata and the CoDel state machine.
 /// Entries live in per-class deques (admission reorders across classes by
 /// design; FIFO holds within a class).
@@ -215,28 +211,15 @@ public:
     bool pop(Admitted<T>& out, std::vector<Dropped<T>>& drops) {
         std::unique_lock<std::mutex> lock(m_);
         cv_items_.wait(lock, [&] { return closed_ || total_ > 0; });
-        if (total_ == 0) return false;  // closed and drained
-        const bool admitted = admit_locked(out, drops);
-        lock.unlock();
-        cv_space_.notify_all();  // drops may have freed several slots
-        return admitted;
+        return take(lock, out, drops);  // empty here: closed and drained
     }
 
-    /// pop() with a real-time deadline for the blocking wait (micro-batch
-    /// coalescing). Same contract for `drops` as pop(); false with `drops`
-    /// untouched means timeout OR closed-and-drained.
-    bool pop_until(Admitted<T>& out,
-                   std::chrono::steady_clock::time_point deadline,
-                   std::vector<Dropped<T>>& drops) {
+    /// pop() that never blocks: works the head only if something is queued
+    /// now. Same contract for `drops` as pop(); false with `drops`
+    /// untouched means the queue was empty.
+    bool try_pop(Admitted<T>& out, std::vector<Dropped<T>>& drops) {
         std::unique_lock<std::mutex> lock(m_);
-        if (!cv_items_.wait_until(lock, deadline,
-                                  [&] { return closed_ || total_ > 0; }))
-            return false;  // timeout
-        if (total_ == 0) return false;  // closed and drained
-        const bool admitted = admit_locked(out, drops);
-        lock.unlock();
-        cv_space_.notify_all();
-        return admitted;
+        return take(lock, out, drops);
     }
 
     /// Refuses all future pushes and wakes every blocked producer and
@@ -273,6 +256,17 @@ private:
         std::uint64_t enqueued_at_us = 0;
         std::uint64_t deadline_us = 0;  // 0 = none
     };
+
+    /// Shared tail of pop/try_pop: admit (or drop) from the head if the
+    /// queue holds anything, then release the lock and wake producers.
+    bool take(std::unique_lock<std::mutex>& lock, Admitted<T>& out,
+              std::vector<Dropped<T>>& drops) {
+        if (total_ == 0) return false;
+        const bool admitted = admit_locked(out, drops);
+        lock.unlock();
+        cv_space_.notify_all();  // drops may have freed several slots
+        return admitted;
+    }
 
     void place(T&& v, Priority cls, std::uint64_t deadline_us) {
         const auto c = static_cast<std::size_t>(cls);
@@ -409,60 +403,38 @@ private:
 };
 
 /// Micro-batch collection over an AdmissionQueue: block for the first
-/// admitted entry, then coalesce until max_batch or max_delay_us, plus a
-/// drop sink — `on_drop` is invoked outside the queue lock for every entry
-/// shed by admission, and is called for trailing drops even when the
-/// collect itself returns false. Returns false only when the queue is
-/// closed and drained. A timeout or a close mid-coalesce simply dispatches
-/// the partial batch.
+/// admitted entry, then take what is already queued, up to max_batch,
+/// without waiting for more. `on_drop` is invoked outside the queue lock
+/// for every entry shed by admission, and is called for trailing drops
+/// even when the collect itself returns false. Returns false only when the
+/// queue is closed and drained.
 template <typename T, typename OnDrop>
 bool collect_admitted(AdmissionQueue<T>& q, const BatchPolicy& policy,
                       std::vector<Admitted<T>>& out, OnDrop&& on_drop) {
     out.clear();
     std::vector<Dropped<T>> drops;
-    Admitted<T> first;
+    Admitted<T> next;
     for (;;) {
         drops.clear();
-        const bool alive = q.pop(first, drops);
+        const bool alive = q.pop(next, drops);
         for (Dropped<T>& d : drops) on_drop(std::move(d));
         if (alive) break;
         // False + drops means "all available entries were shed, resolve
         // them and keep waiting"; false without drops is the real drain.
         if (drops.empty()) return false;
     }
-    out.push_back(std::move(first));
-    if (policy.max_batch > 1) {
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::microseconds(policy.max_delay_us);
-        while (out.size() < policy.max_batch) {
-            drops.clear();
-            Admitted<T> next;
-            const bool more = q.pop_until(next, deadline, drops);
-            for (Dropped<T>& d : drops) on_drop(std::move(d));
-            if (more) {
-                out.push_back(std::move(next));
-            } else if (drops.empty()) {
-                break;  // timeout or closed-and-drained
-            }
-            // else: a drop round — not a timeout, keep coalescing
-        }
+    out.push_back(std::move(next));
+    while (out.size() < policy.max_batch) {
+        drops.clear();
+        const bool more = q.try_pop(next, drops);
+        for (Dropped<T>& d : drops) on_drop(std::move(d));
+        if (more)
+            out.push_back(std::move(next));
+        else if (drops.empty())
+            break;  // nothing more is queued
+        // else: a drop round; what followed the drops may still be queued
     }
     return true;
-}
-
-/// Value-only collect_admitted, for consumers that do not resolve futures
-/// (the online learner draining the Feedback class): dropped entries are
-/// discarded — the queue already counted them (AdmissionCounters), and a
-/// stale feedback sample needs no further resolution.
-template <typename T>
-bool collect_batch(AdmissionQueue<T>& q, const BatchPolicy& policy,
-                   std::vector<T>& out) {
-    std::vector<Admitted<T>> admitted;
-    const bool alive =
-        collect_admitted(q, policy, admitted, [](Dropped<T>&&) {});
-    out.clear();
-    for (Admitted<T>& a : admitted) out.push_back(std::move(a.value));
-    return alive;
 }
 
 }  // namespace neuro::serve

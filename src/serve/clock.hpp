@@ -8,10 +8,10 @@
 // time explicitly — no sleeps, no wall-time flakiness (tests/admission_test).
 //
 // The clock is only read at discrete decision points (enqueue, dequeue,
-// completion). Blocking waits (queue condvars, micro-batch coalescing)
-// stay on the real steady clock: they are about thread parking, not about
-// admission semantics, and tests drive them event-style (items present, or
-// an already-expired coalescing deadline) so they never actually wait.
+// completion). The one blocking wait, a consumer parked on an empty queue,
+// is a condvar: it is about thread parking, not about admission semantics,
+// and tests drive the queue event-style (items present, or the
+// non-blocking try_pop) so they never actually wait.
 
 #include <atomic>
 #include <chrono>

@@ -4,8 +4,8 @@
 // alongside) an inference hand it back through Server::submit_feedback;
 // the samples flow through the Feedback class of the admission layer —
 // an AdmissionQueue running the same CoDel discipline as the request
-// queue — which the background learner (online::OnlineEngine) drains with
-// the same micro-batch coalescing the serving workers use.
+// queue — which the background learner (online::OnlineEngine) drains one
+// sample at a time with pop(), in arrival order.
 //
 // Feedback is advisory by contract: the serving path never blocks on it,
 // a full queue sheds at the intake, and under standing delay CoDel sheds

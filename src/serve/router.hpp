@@ -81,7 +81,7 @@ enum class Backpressure { Block, Shed };
 struct RouterOptions {
     std::size_t workers = 2;         ///< worker threads == sessions per pool
     std::size_t queue_capacity = 64; ///< bounded intake; the backpressure knob
-    BatchPolicy batch;               ///< micro-batch coalescing policy
+    BatchPolicy batch;               ///< micro-batch cap (takes what is queued)
     Backpressure backpressure = Backpressure::Block;
     /// Head-of-queue admission control — global across the whole fleet.
     AdmissionConfig admission;

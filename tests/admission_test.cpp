@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -45,11 +44,11 @@ struct PopResult {
     std::vector<Dropped<int>> drops;
 };
 
-/// One dequeue attempt that never parks the thread: the wait deadline is
-/// already in the past, so pop_until decides purely on queue state.
+/// One dequeue attempt that never parks the thread: try_pop decides
+/// purely on queue state.
 PopResult pop_now(IntQueue& q) {
     PopResult r;
-    r.admitted = q.pop_until(r.out, std::chrono::steady_clock::now(), r.drops);
+    r.admitted = q.try_pop(r.out, r.drops);
     return r;
 }
 
@@ -423,7 +422,7 @@ TEST(CollectAdmitted, DeliversTrailingDropsOnDrain) {
 
     std::vector<int> dropped;
     std::vector<Admitted<int>> out;
-    const serve::BatchPolicy policy{4, 0};
+    const serve::BatchPolicy policy{4};
     const bool alive = serve::collect_admitted(
         q, policy, out, [&](Dropped<int>&& d) { dropped.push_back(d.value); });
     // The collect ends the drain (false) — but both expired entries were
@@ -444,7 +443,7 @@ TEST(CollectAdmitted, CoalescesPastDropsWithinOneBatch) {
 
     std::vector<int> dropped;
     std::vector<Admitted<int>> out;
-    const serve::BatchPolicy policy{3, 1'000};
+    const serve::BatchPolicy policy{3};
     ASSERT_TRUE(serve::collect_admitted(
         q, policy, out, [&](Dropped<int>&& d) { dropped.push_back(d.value); }));
     ASSERT_EQ(out.size(), 2u);

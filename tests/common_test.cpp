@@ -1,8 +1,8 @@
 // Unit tests for src/common: RNG determinism and distribution sanity,
 // tensor algebra, fixed-point helpers, table/CSV rendering, CLI parsing,
 // statistics — plus the threaded surface of the one bounded MPMC queue,
-// serve::AdmissionQueue (blocking push, shedding try_push, timed pop,
-// close wake-ups, seeded multi-producer/multi-consumer stress).
+// serve::AdmissionQueue (blocking push, shedding try_push, non-blocking
+// try_pop, close wake-ups, seeded multi-producer/multi-consumer stress).
 
 #include <gtest/gtest.h>
 
@@ -268,7 +268,7 @@ TEST(LatencyHistogram, EmptyAndSubMicrosecond) {
     EXPECT_LE(h.percentile(0.99), 1.0);
 }
 
-// ---- admission queue: blocking, shedding, timed pop, close ------------------
+// ---- admission queue: blocking, shedding, non-blocking pop, close -----------
 
 namespace {
 
@@ -299,15 +299,19 @@ TEST(AdmissionQueue, TryPushRefusesWhenFullAndKeepsValue) {
     EXPECT_EQ(*b, 2);
 }
 
-TEST(AdmissionQueue, PopUntilTimesOutOnEmpty) {
+TEST(AdmissionQueue, TryPopReturnsAtOnceOnEmpty) {
     AdmissionQueue<int> q(2);
     Admitted<int> out;
     std::vector<Dropped<int>> drops;
-    const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_FALSE(q.pop_until(out, t0 + std::chrono::milliseconds(5), drops));
-    EXPECT_GE(std::chrono::steady_clock::now() - t0,
-              std::chrono::milliseconds(4));
-    EXPECT_TRUE(drops.empty());  // a timeout, not a drop round
+    EXPECT_FALSE(q.try_pop(out, drops));
+    EXPECT_TRUE(drops.empty());  // an empty queue, not a drop round
+    int v = 3;
+    ASSERT_TRUE(q.push(v));
+    ASSERT_TRUE(q.try_pop(out, drops));
+    EXPECT_EQ(out.value, 3);
+    q.close();
+    EXPECT_FALSE(q.try_pop(out, drops));  // closed and drained
+    EXPECT_TRUE(drops.empty());
 }
 
 TEST(AdmissionQueue, BlockingPushUnblocksOnPop) {

@@ -490,6 +490,43 @@ TEST(Netd, RegistryPinAndRollbackRoundTrip) {
     std::filesystem::remove_all(dir);
 }
 
+// A registry version the model cannot load answers `err` and publishes
+// nothing; the daemon keeps serving the weights it had.
+TEST(Netd, PinningAVersionOfAnotherTopologyErrsAndKeepsServing) {
+    Harness h;
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("neuro_netd_topology_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    h.registry = std::make_shared<online::ModelRegistry>(dir.string());
+    {
+        runtime::ModelSpec wide;
+        wide.input(1, kSide, kSide).hidden_layers({50}).output_classes(
+            kClasses);
+        const auto other = runtime::CompiledModel::compile(wide);
+        h.registry->record(1, 0.9, other->initial_weights());
+    }
+    h.start();
+
+    const auto img = make_images(1).samples[0].image;
+    const std::size_t want = h.model->open_session()->predict(img);
+    auto client = h.connect();
+
+    const std::string pinned = h.control("pin 1");
+    EXPECT_EQ(pinned.rfind("err publish_weights: ", 0), 0u) << pinned;
+    EXPECT_EQ(h.control("load latest").rfind("err ", 0), 0u);
+    EXPECT_EQ(h.control("version"), "ok 0");  // nothing was published
+
+    for (std::uint64_t id = 1; id <= 4; ++id) {
+        const auto resp = client.call(make_frame(img, id));
+        ASSERT_EQ(resp.status, WireStatus::Ok);
+        EXPECT_EQ(resp.label, want);
+    }
+    EXPECT_EQ(h.control("ping"), "ok pong");
+
+    h.stop();
+    std::filesystem::remove_all(dir);
+}
+
 // ---- multi-model (protocol v2) ----------------------------------------------
 
 TEST(Netd, V2RoutesToMultipleModelsBitIdentically) {

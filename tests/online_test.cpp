@@ -11,7 +11,7 @@
 //     keeps serving,
 //   * registry round-trip, corruption detection, and restart republication,
 //   * replay-pool determinism (same seed => same draws) and reservoir
-//     bounds,
+//     bounds; the learning trajectory depends only on feedback order,
 //   * learner + server + clients running concurrently (TSan-clean in CI).
 
 #include <gtest/gtest.h>
@@ -497,6 +497,66 @@ TEST(OnlineServing, MalformedFeedbackNeverKillsTheLearner) {
     const auto stats = engine.stats();
     EXPECT_EQ(stats.errors, 1u);
     EXPECT_EQ(stats.trained, 2 * good.size());  // fresh + one replay each
+}
+
+// The learner pops one sample at a time, so how the feedback reaches the
+// queue (all at once, or one by one) cannot move the trajectory: only its
+// order can. Publishes and rollbacks both happen along the way.
+TEST(OnlineEngine, TrajectoryDependsOnlyOnFeedbackOrder) {
+    const auto train = toy_set(12, 81);
+    const auto holdout = toy_set(6, 82);
+    std::vector<serve::FeedbackSample> stream;
+    for (std::size_t round = 0; round < 3; ++round)
+        for (const auto& s : train.samples)  // the last round is poisoned
+            stream.push_back(
+                {s.image, round < 2 ? s.label : (s.label + 1) % kClasses, {}});
+    online::OnlineOptions oopt;
+    oopt.publish_interval = 24;
+    oopt.max_regression = 0.05;
+    oopt.seed = 5;
+    const auto done = [&](const online::OnlineEngine& e, std::size_t n) {
+        return eventually([&] { return e.stats().feedback_seen >= n; });
+    };
+
+    // All at once: the whole stream is queued before the learner starts.
+    const auto model_a = make_model();
+    auto queue_a = std::make_shared<serve::FeedbackQueue>(stream.size());
+    for (serve::FeedbackSample f : stream) ASSERT_TRUE(queue_a->push(f));
+    online::OnlineEngine a(model_a, queue_a, holdout, oopt);
+    a.start();
+    ASSERT_TRUE(done(a, stream.size()));
+    a.stop();
+
+    // One by one: each sample is pushed after the previous one was taken.
+    const auto model_b = make_model();
+    auto queue_b = std::make_shared<serve::FeedbackQueue>(stream.size());
+    online::OnlineEngine b(model_b, queue_b, holdout, oopt);
+    b.start();
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        serve::FeedbackSample f = stream[i];
+        ASSERT_TRUE(queue_b->push(f));
+        ASSERT_TRUE(done(b, i + 1));
+    }
+    b.stop();
+
+    const online::OnlineStats sa = a.stats(), sb = b.stats();
+    EXPECT_EQ(sa.feedback_seen, stream.size());
+    EXPECT_GE(sa.published, 1u);
+    EXPECT_GE(sa.rollbacks, 1u);
+    EXPECT_EQ(sa.feedback_seen, sb.feedback_seen);
+    EXPECT_EQ(sa.trained, sb.trained);
+    EXPECT_EQ(sa.candidates, sb.candidates);
+    EXPECT_EQ(sa.published, sb.published);
+    EXPECT_EQ(sa.rollbacks, sb.rollbacks);
+    EXPECT_EQ(sa.errors, sb.errors);
+    EXPECT_EQ(sa.current_version, sb.current_version);
+    EXPECT_EQ(sa.prequential_hits, sb.prequential_hits);
+    EXPECT_EQ(sa.baseline_accuracy, sb.baseline_accuracy);
+    EXPECT_EQ(sa.last_eval_accuracy, sb.last_eval_accuracy);
+    EXPECT_EQ(sa.last_good_accuracy, sb.last_good_accuracy);
+    EXPECT_EQ(model_a->published_version(), model_b->published_version());
+    EXPECT_EQ(model_a->published_weights()->snapshot.layers,
+              model_b->published_weights()->snapshot.layers);
 }
 
 // ---- concurrency (run under TSan in CI) -------------------------------------

@@ -100,7 +100,6 @@ TEST(Router, MultiModelBitIdenticalToDedicatedSessions) {
     RouterOptions opt;
     opt.workers = 3;
     opt.batch.max_batch = 4;
-    opt.batch.max_delay_us = 200;
     opt.fleet_dir = fleet;
     ModelRouter router(model, opt);
     router.start();
@@ -244,6 +243,53 @@ TEST(Router, LoadPinUnloadDriveResidency) {
     router.shutdown();
 }
 
+// A snapshot the model cannot load is refused at publish, so no worker's
+// refresh() ever meets it: serving carries on with the weights it had.
+TEST(Router, PublishRefusesASnapshotTheModelCannotLoad) {
+    const auto model = make_model();
+    // Registry v1 fits the model; v2 was recorded by a wider hidden layer.
+    const auto fleet = make_fleet("unloadable", *model, {{"alpha", 1}});
+    {
+        runtime::ModelSpec wide;
+        wide.input(1, 1, kDims).hidden_layers({30}).output_classes(kClasses);
+        const auto other = runtime::CompiledModel::compile(wide);
+        online::ModelRegistry reg(
+            (std::filesystem::path(fleet) / "alpha").string());
+        reg.record(2, 0.95, other->initial_weights());
+    }
+    RouterOptions opt;
+    opt.fleet_dir = fleet;
+    ModelRouter router(model, opt);
+    router.start();
+    const std::size_t want = model->open_session()->predict(make_image(4));
+
+    runtime::WeightSnapshot short_layer = model->initial_weights();
+    short_layer.layers.back().pop_back();
+    EXPECT_THROW(model->publish_weights(short_layer), std::invalid_argument);
+    runtime::WeightSnapshot missing_layer = model->initial_weights();
+    missing_layer.layers.pop_back();
+    EXPECT_THROW(model->publish_weights(missing_layer), std::invalid_argument);
+    runtime::WeightSnapshot too_wide = model->initial_weights();
+    too_wide.layers.front().front() = 1 << model->spec().options.weight_bits;
+    EXPECT_THROW(model->publish_weights(too_wide), std::invalid_argument);
+    EXPECT_EQ(model->published_version(), 0u);
+
+    auto r = router.submit(make_image(4)).get();
+    ASSERT_EQ(r.status, serve::Status::Ok) << r.error;
+    EXPECT_EQ(r.label, want);
+
+    // pin() on a resident entry publishes through the same check.
+    EXPECT_EQ(router.pin("alpha", 1), 1u);
+    EXPECT_THROW(router.pin("alpha", 2), std::invalid_argument);
+    EXPECT_EQ(router.model_stats("alpha").base_version, 1u);
+    serve::SubmitOptions s;
+    s.model = "alpha";
+    r = router.submit(make_image(4), s).get();
+    ASSERT_EQ(r.status, serve::Status::Ok) << r.error;
+    EXPECT_EQ(r.label, 1u);  // still version 1's forced winner
+    router.shutdown();
+}
+
 // ---- LRU eviction -----------------------------------------------------------
 
 TEST(Router, LruEvictsColdestAndSparesPinned) {
@@ -302,7 +348,6 @@ TEST(Router, EvictionNeverDropsAcceptedRequests) {
     opt.workers = 4;
     opt.queue_capacity = 256;
     opt.batch.max_batch = 4;
-    opt.batch.max_delay_us = 100;
     opt.fleet_dir = fleet;
     opt.resident_budget_bytes =
         2 * snapshot_bytes(model->initial_weights());
@@ -490,12 +535,15 @@ TEST(Router, FeedbackCarriesTheModelTag) {
     unknown.model = "ghost";
     EXPECT_FALSE(router.submit_feedback(make_image(2), 1, unknown));
 
-    serve::BatchPolicy policy{4, 1000};
-    std::vector<serve::FeedbackSample> batch;
-    ASSERT_TRUE(serve::collect_batch(*router.feedback_queue(), policy, batch));
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_EQ(batch[0].model, "");
-    EXPECT_EQ(batch[1].model, "alpha");
-    EXPECT_EQ(batch[1].label, 2u);
+    // The learner's drain: one pop per sample, in arrival order.
+    serve::Admitted<serve::FeedbackSample> first, second;
+    std::vector<serve::Dropped<serve::FeedbackSample>> drops;
+    ASSERT_TRUE(router.feedback_queue()->pop(first, drops));
+    ASSERT_TRUE(router.feedback_queue()->pop(second, drops));
+    EXPECT_TRUE(drops.empty());
+    EXPECT_EQ(router.feedback_queue()->size(), 0u);
+    EXPECT_EQ(first.value.model, "");
+    EXPECT_EQ(second.value.model, "alpha");
+    EXPECT_EQ(second.value.label, 2u);
     router.shutdown();
 }

@@ -1,6 +1,6 @@
 // Contract tests for neuro::serve (the async serving engine):
-//   * micro-batch coalescing semantics (collect_batch over the
-//     AdmissionQueue, the overload the online learner drains with),
+//   * micro-batch semantics (collect_admitted over the AdmissionQueue:
+//     block for one entry, take what is queued, never wait for more),
 //   * batched serving bit-identical to sequential Session inference,
 //   * backpressure — Shed rejects deterministically, Block waits,
 //   * drain-on-shutdown completes every accepted request,
@@ -48,32 +48,45 @@ data::Dataset make_images(std::size_t n) {
 
 // ---- scheduler --------------------------------------------------------------
 
-TEST(Scheduler, FullBatchDispatchesWithoutWaitingOutTheDelay) {
+namespace {
+
+/// collect_admitted with a no-op drop sink (nothing here is dropped),
+/// returning the collected values.
+bool collect_values(AdmissionQueue<int>& q, std::size_t max_batch,
+                    std::vector<int>& out) {
+    std::vector<serve::Admitted<int>> batch;
+    const bool alive = serve::collect_admitted(
+        q, serve::BatchPolicy{max_batch}, batch, [](serve::Dropped<int>&&) {});
+    out.clear();
+    for (const auto& a : batch) out.push_back(a.value);
+    return alive;
+}
+
+}  // namespace
+
+TEST(Scheduler, FullQueueDispatchesMaxBatchAtATime) {
     AdmissionQueue<int> q(16);
     for (int i = 0; i < 8; ++i) {
         int v = i;
         ASSERT_TRUE(q.push(v));
     }
-    const serve::BatchPolicy policy{4, 2'000'000};  // 2s delay must NOT matter
     std::vector<int> out;
-    const auto t0 = std::chrono::steady_clock::now();
-    ASSERT_TRUE(serve::collect_batch(q, policy, out));
-    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+    ASSERT_TRUE(collect_values(q, 4, out));
     EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
-    ASSERT_TRUE(serve::collect_batch(q, policy, out));
+    ASSERT_TRUE(collect_values(q, 4, out));
     EXPECT_EQ(out, (std::vector<int>{4, 5, 6, 7}));
 }
 
-TEST(Scheduler, PartialBatchDispatchesOnDelayExpiry) {
+TEST(Scheduler, PartialBatchTakesWhatIsQueued) {
     AdmissionQueue<int> q(16);
     for (int i = 0; i < 2; ++i) {
         int v = i;
         ASSERT_TRUE(q.push(v));
     }
-    const serve::BatchPolicy policy{8, 3000};  // 3ms, queue stays short
     std::vector<int> out;
-    ASSERT_TRUE(serve::collect_batch(q, policy, out));
+    ASSERT_TRUE(collect_values(q, 8, out));
     EXPECT_EQ(out, (std::vector<int>{0, 1}));
+    EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(Scheduler, MaxBatchOneNeverCoalesces) {
@@ -82,9 +95,8 @@ TEST(Scheduler, MaxBatchOneNeverCoalesces) {
     ASSERT_TRUE(q.push(v));
     v = 8;
     ASSERT_TRUE(q.push(v));
-    const serve::BatchPolicy policy{1, 2'000'000};
     std::vector<int> out;
-    ASSERT_TRUE(serve::collect_batch(q, policy, out));
+    ASSERT_TRUE(collect_values(q, 1, out));
     EXPECT_EQ(out, std::vector<int>{7});
 }
 
@@ -93,11 +105,10 @@ TEST(Scheduler, ClosedAndDrainedQueueEndsTheLoop) {
     int v = 1;
     ASSERT_TRUE(q.push(v));
     q.close();
-    const serve::BatchPolicy policy{8, 1000};
     std::vector<int> out;
-    ASSERT_TRUE(serve::collect_batch(q, policy, out));  // drains the leftover
+    ASSERT_TRUE(collect_values(q, 8, out));  // drains the leftover
     EXPECT_EQ(out, std::vector<int>{1});
-    EXPECT_FALSE(serve::collect_batch(q, policy, out));  // worker exit signal
+    EXPECT_FALSE(collect_values(q, 8, out));  // worker exit signal
     EXPECT_TRUE(out.empty());
 }
 
@@ -123,7 +134,6 @@ TEST(Server, BatchedServingBitIdenticalToSequentialSessions) {
         opt.workers = cfg.workers;
         opt.queue_capacity = 64;
         opt.batch.max_batch = cfg.batch;
-        opt.batch.max_delay_us = 500;
         serve::Server server(model, opt);
         server.start();
 
@@ -367,7 +377,6 @@ TEST(Server, ConcurrentSubmittersAllCompleteCorrectly) {
     opt.workers = 2;
     opt.queue_capacity = 16;
     opt.batch.max_batch = 4;
-    opt.batch.max_delay_us = 200;
     serve::Server server(model, opt);
     server.start();
 

@@ -94,8 +94,6 @@ int main(int argc, char** argv) {
     ropt.workers = static_cast<std::size_t>(cli.get_int("workers", 2));
     ropt.queue_capacity = static_cast<std::size_t>(cli.get_int("queue", 256));
     ropt.batch.max_batch = static_cast<std::size_t>(cli.get_int("batch", 8));
-    ropt.batch.max_delay_us =
-        static_cast<std::uint64_t>(cli.get_int("delay_us", 200));
     ropt.backpressure = serve::Backpressure::Shed;
     ropt.admission.codel.enabled = cli.get_bool("codel", true);
     ropt.admission.codel.target_us =
