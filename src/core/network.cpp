@@ -3,8 +3,10 @@
 #include <cmath>
 #include <fstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "data/encode.hpp"
+#include "loihi/router.hpp"
 #include "snn/topology.hpp"
 
 namespace neuro::core {
@@ -70,6 +72,14 @@ CompartmentConfig error_cfg(std::int32_t vth, bool gated) {
     return c;
 }
 
+/// The EMSTDP rule's shift before any IOL offset. With a both-phase pre
+/// counter the pre factor is h + h_hat ~ 2h, so the shift grows by one to
+/// keep the effective learning rate equal to the phase-gated configuration.
+int base_rule_shift(const EmstdpOptions& opt) {
+    return opt.learning_shift() +
+           (opt.pre_window == TraceWindow::Both ? 1 : 0);
+}
+
 /// Fixed random feedback matrix, quantized to the weight grid. `limit_f` is
 /// the float magnitude bound; `scale` maps float feedback values into the
 /// integer domain of the destination (theta_err for error neurons,
@@ -98,24 +108,176 @@ IntMatrix random_feedback(std::size_t rows, std::size_t cols, float limit_f,
 
 }  // namespace
 
+// ---- Operation Flow 1 ---------------------------------------------------------
+
+template <typename Substrate>
+OperationFlow<Substrate>::OperationFlow(const EmstdpOptions& opt,
+                                        Substrate chip, std::size_t classes)
+    : opt_(opt),
+      chip_(std::move(chip)),
+      classes_(classes),
+      label_bias_value_(static_cast<std::int32_t>(std::lround(
+          opt.target_rate * static_cast<float>(opt.phase_length)))),
+      class_mask_(classes, true) {}
+
+template <typename Substrate>
+OperationFlow<Substrate>::OperationFlow(const OperationFlow<loihi::Chip>& proto,
+                                        Substrate chip)
+    : opt_(proto.opt_),
+      chip_(std::move(chip)),
+      classes_(proto.classes_),
+      input_size_(proto.input_size_),
+      label_bias_value_(proto.label_bias_value_),
+      input_(proto.input_),
+      output_(proto.output_),
+      label_(proto.label_),
+      plastic_(proto.plastic_),
+      class_mask_(proto.class_mask_) {}
+
+template <typename Substrate>
+void OperationFlow<Substrate>::program_input(const common::Tensor& image) {
+    if (image.size() != input_size_)
+        throw std::invalid_argument("EMSTDP network: image size mismatch");
+    if (opt_.input_mode == InputMode::BiasProgramming) {
+        chip_.set_bias(input_, data::quantize_to_bias(image, opt_.phase_length));
+        rasters_.clear();
+    } else {
+        chip_.clear_bias(input_);
+        rasters_ = data::rate_code_spikes(image, opt_.phase_length);
+    }
+}
+
+template <typename Substrate>
+void OperationFlow<Substrate>::run_phase(Phase phase) {
+    chip_.set_phase(phase);
+    const auto T = static_cast<std::size_t>(opt_.phase_length);
+    if (opt_.input_mode == InputMode::BiasProgramming) {
+        chip_.run(T);
+        return;
+    }
+    // Host spike insertion, the one single-chip step: ShardedChip does not
+    // route inserted spikes, so the sharded network refuses this mode.
+    if constexpr (std::is_same_v<Substrate, loihi::Chip>) {
+        for (std::size_t t = 0; t < T; ++t) {
+            // Step first, insert after: a bias-driven input neuron firing at
+            // step t is delivered downstream at t+1, and host insertion must
+            // keep the same one-step alignment (verified by the
+            // InputEncoding.BiasAndInsertionProduceIdenticalActivity test).
+            chip_.step();
+            for (std::size_t i = 0; i < rasters_.size(); ++i)
+                if (rasters_[i][t]) chip_.insert_spike(input_, i);
+        }
+    }
+}
+
+template <typename Substrate>
+void OperationFlow<Substrate>::train_sample(const common::Tensor& image,
+                                            std::size_t label) {
+    if (opt_.inference_only)
+        throw std::logic_error(
+            "EMSTDP network: inference-only network cannot train");
+    if (label >= classes_) throw std::out_of_range("EMSTDP network: bad label");
+
+    chip_.reset_dynamic_state();
+    program_input(image);
+    std::vector<std::int32_t> lb(classes_, 0);
+    if (class_mask_[label]) lb[label] = label_bias_value_;
+    chip_.set_bias(*label_, lb);
+
+    run_phase(Phase::One);
+    // Phase boundary: clear membranes so phase 2 replays phase 1 exactly
+    // when no correction arrives (see Chip::reset_membranes).
+    chip_.reset_membranes();
+    run_phase(Phase::Two);
+    chip_.apply_learning();
+}
+
+template <typename Substrate>
+std::vector<std::int32_t> OperationFlow<Substrate>::output_counts(
+    const common::Tensor& image) {
+    chip_.reset_dynamic_state();
+    program_input(image);
+    if (label_) chip_.clear_bias(*label_);
+    run_phase(Phase::One);
+    return chip_.spike_counts(output_, Phase::One);
+}
+
+template <typename Substrate>
+std::size_t OperationFlow<Substrate>::predict(const common::Tensor& image) {
+    const auto counts = output_counts(image);
+    std::size_t best = 0;
+    std::int64_t best_v = chip_.membrane(output_, 0);
+    for (std::size_t j = 1; j < counts.size(); ++j) {
+        const std::int64_t vj = chip_.membrane(output_, j);
+        if (counts[j] > counts[best] || (counts[j] == counts[best] && vj > best_v)) {
+            best = j;
+            best_v = vj;
+        }
+    }
+    return best;
+}
+
+template <typename Substrate>
+void OperationFlow<Substrate>::set_class_mask(const std::vector<bool>& mask) {
+    if (mask.size() != classes_)
+        throw std::invalid_argument("set_class_mask: size mismatch");
+    class_mask_ = mask;
+    // Clamp disabled output neurons off: a strongly negative bias plus the
+    // zero floor keeps them at v = 0, so they never spike in either phase
+    // and their weight rows receive no update (y1 = tag = 0).
+    std::vector<std::int32_t> bias(classes_, 0);
+    for (std::size_t j = 0; j < classes_; ++j)
+        if (!mask[j]) bias[j] = -4 * opt_.theta_dense;
+    chip_.set_bias(output_, bias);
+}
+
+template <typename Substrate>
+void OperationFlow<Substrate>::set_learning_shift_offset(int offset) {
+    if (offset < 0)
+        throw std::invalid_argument("set_learning_shift_offset: negative offset");
+    const loihi::LearningRule rule =
+        loihi::emstdp_rule(base_rule_shift(opt_) + offset);
+    for (auto proj : plastic_) chip_.set_learning_rule(proj, rule);
+}
+
+template <typename Substrate>
+std::vector<std::vector<std::int32_t>> OperationFlow<Substrate>::plastic_weights()
+    const {
+    std::vector<std::vector<std::int32_t>> out;
+    out.reserve(plastic_.size());
+    for (auto proj : plastic_) out.push_back(chip_.weights(proj));
+    return out;
+}
+
+template <typename Substrate>
+void OperationFlow<Substrate>::set_plastic_weights(
+    const std::vector<std::vector<std::int32_t>>& w) {
+    if (w.size() != plastic_.size())
+        throw std::invalid_argument("set_plastic_weights: layer count mismatch");
+    for (std::size_t p = 0; p < plastic_.size(); ++p)
+        chip_.program_weights(plastic_[p], w[p]);
+}
+
+template class OperationFlow<loihi::Chip>;
+template class OperationFlow<loihi::ShardedChip>;
+
+// ---- the single-chip network ---------------------------------------------------
+
 EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
                              std::size_t in_h, std::size_t in_w,
                              const snn::ConvertedStack* conv,
                              std::vector<std::size_t> hidden, std::size_t classes)
-    : opt_(opt),
-      chip_([&] {
-          loihi::ChipLimits limits;
-          limits.weight_bits = opt.weight_bits;
-          return limits;
-      }()),
-      classes_(classes) {
+    : OperationFlow(opt,
+                    loihi::Chip([&] {
+                        loihi::ChipLimits limits;
+                        limits.weight_bits = opt.weight_bits;
+                        return limits;
+                    }()),
+                    classes) {
     if (classes_ == 0) throw std::invalid_argument("EmstdpNetwork: zero classes");
     const std::int32_t T = opt_.phase_length;
     const std::size_t pixels = in_c * in_h * in_w;
     input_size_ = pixels;
-    label_bias_value_ = static_cast<std::int32_t>(
-        std::lround(opt_.target_rate * static_cast<float>(T)));
-    class_mask_.assign(classes_, true);
     common::Rng rng(opt_.seed);
     chip_.seed_learning_noise(rng.next_u64() | 1);
 
@@ -128,8 +290,10 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
         input_ = chip_.add_population(pc);
     }
 
+    // The population feeding the first plastic layer: conv2, or the input.
     std::size_t feature_size = pixels;
-    feature_ = input_;
+    loihi::PopulationId feature = input_;
+    std::optional<loihi::PopulationId> conv1, conv2;
     if (conv != nullptr) {
         if (conv->conv1.spec.in_c != in_c || conv->conv1.spec.in_h != in_h ||
             conv->conv1.spec.in_w != in_w)
@@ -138,15 +302,15 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
         c1.name = "conv1";
         c1.size = conv->conv1.spec.out_size();
         c1.compartment = forward_cfg(conv->conv1.vth, opt_, JoinOp::None);
-        conv1_ = chip_.add_population(c1);
+        conv1 = chip_.add_population(c1);
 
         PopulationConfig c2;
         c2.name = "conv2";
         c2.size = conv->conv2.spec.out_size();
         c2.compartment = forward_cfg(conv->conv2.vth, opt_, JoinOp::None);
-        conv2_ = chip_.add_population(c2);
+        conv2 = chip_.add_population(c2);
 
-        feature_ = *conv2_;
+        feature = *conv2;
         feature_size = c2.size;
     }
 
@@ -181,16 +345,11 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
     stack_sizes.push_back(classes_);
 
     std::vector<loihi::PopulationId> stack_pops;
-    stack_pops.push_back(feature_);
+    stack_pops.push_back(feature);
     for (auto p : hidden_pops_) stack_pops.push_back(p);
     stack_pops.push_back(output_);
 
-    // With a both-phase pre counter the pre factor is h + h_hat ~ 2h, so
-    // the shift grows by one to keep the effective learning rate equal to
-    // the phase-gated configuration.
-    const int rule_shift = opt_.learning_shift() +
-                           (opt_.pre_window == TraceWindow::Both ? 1 : 0);
-    const loihi::LearningRule rule = loihi::emstdp_rule(rule_shift);
+    const loihi::LearningRule rule = loihi::emstdp_rule(base_rule_shift(opt_));
     for (std::size_t l = 0; l + 1 < stack_pops.size(); ++l) {
         const std::size_t in = stack_sizes[l];
         const std::size_t out = stack_sizes[l + 1];
@@ -227,14 +386,14 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
         ProjectionConfig p1;
         p1.name = "conv1";
         p1.src = input_;
-        p1.dst = *conv1_;
+        p1.dst = *conv1;
         conv_projections_.push_back(chip_.add_projection(
             p1, snn::placed_conv_synapses(conv->conv1.spec, conv->conv1.weights,
                                           nullptr)));
         ProjectionConfig p2;
         p2.name = "conv2";
-        p2.src = *conv1_;
-        p2.dst = *conv2_;
+        p2.src = *conv1;
+        p2.dst = *conv2;
         conv_projections_.push_back(chip_.add_projection(
             p2, snn::placed_conv_synapses(conv->conv2.spec, conv->conv2.weights,
                                           &conv->conv1.spec)));
@@ -397,122 +556,13 @@ EmstdpNetwork::EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c,
 
     // ---- conv parameters & finalize -------------------------------------------
     if (conv != nullptr) {
-        chip_.set_bias(*conv1_, snn::place_conv_values(conv->conv1.spec,
+        chip_.set_bias(*conv1, snn::place_conv_values(conv->conv1.spec,
                                                        conv->conv1.bias));
-        chip_.set_bias(*conv2_, snn::place_conv_values(conv->conv2.spec,
+        chip_.set_bias(*conv2, snn::place_conv_values(conv->conv2.spec,
                                                        conv->conv2.bias));
     }
     chip_.finalize();
     chip_.reset_activity();  // construction-time bias writes are not runtime I/O
-}
-
-void EmstdpNetwork::program_input(const common::Tensor& image) {
-    if (image.size() != input_size_)
-        throw std::invalid_argument("EmstdpNetwork: image size mismatch");
-    if (opt_.input_mode == InputMode::BiasProgramming) {
-        chip_.set_bias(input_, data::quantize_to_bias(image, opt_.phase_length));
-        rasters_.clear();
-    } else {
-        chip_.clear_bias(input_);
-        rasters_ = data::rate_code_spikes(image, opt_.phase_length);
-    }
-}
-
-void EmstdpNetwork::run_phase(Phase phase) {
-    chip_.set_phase(phase);
-    const auto T = static_cast<std::size_t>(opt_.phase_length);
-    if (opt_.input_mode == InputMode::BiasProgramming) {
-        chip_.run(T);
-        return;
-    }
-    for (std::size_t t = 0; t < T; ++t) {
-        // Step first, insert after: a bias-driven input neuron firing at
-        // step t is delivered downstream at t+1, and host insertion must
-        // keep the same one-step alignment (verified by the
-        // InputEncoding.BiasAndInsertionProduceIdenticalActivity test).
-        chip_.step();
-        for (std::size_t i = 0; i < rasters_.size(); ++i)
-            if (rasters_[i][t]) chip_.insert_spike(input_, i);
-    }
-}
-
-void EmstdpNetwork::train_sample(const common::Tensor& image, std::size_t label) {
-    if (opt_.inference_only)
-        throw std::logic_error("EmstdpNetwork: inference-only network cannot train");
-    if (label >= classes_) throw std::out_of_range("EmstdpNetwork: bad label");
-
-    chip_.reset_dynamic_state();
-    program_input(image);
-    std::vector<std::int32_t> lb(classes_, 0);
-    if (class_mask_[label]) lb[label] = label_bias_value_;
-    chip_.set_bias(*label_, lb);
-
-    run_phase(Phase::One);
-    // Phase boundary: clear membranes so phase 2 replays phase 1 exactly
-    // when no correction arrives (see Chip::reset_membranes).
-    chip_.reset_membranes();
-    run_phase(Phase::Two);
-    chip_.apply_learning();
-}
-
-std::vector<std::int32_t> EmstdpNetwork::output_counts(const common::Tensor& image) {
-    chip_.reset_dynamic_state();
-    program_input(image);
-    if (label_) chip_.clear_bias(*label_);
-    run_phase(Phase::One);
-    return chip_.spike_counts(output_, Phase::One);
-}
-
-std::size_t EmstdpNetwork::predict(const common::Tensor& image) {
-    const auto counts = output_counts(image);
-    std::size_t best = 0;
-    std::int64_t best_v = chip_.membrane(output_, 0);
-    for (std::size_t j = 1; j < counts.size(); ++j) {
-        const std::int64_t vj = chip_.membrane(output_, j);
-        if (counts[j] > counts[best] || (counts[j] == counts[best] && vj > best_v)) {
-            best = j;
-            best_v = vj;
-        }
-    }
-    return best;
-}
-
-void EmstdpNetwork::set_class_mask(const std::vector<bool>& mask) {
-    if (mask.size() != classes_)
-        throw std::invalid_argument("set_class_mask: size mismatch");
-    class_mask_ = mask;
-    // Clamp disabled output neurons off: a strongly negative bias plus the
-    // zero floor keeps them at v = 0, so they never spike in either phase
-    // and their weight rows receive no update (y1 = tag = 0).
-    std::vector<std::int32_t> bias(classes_, 0);
-    for (std::size_t j = 0; j < classes_; ++j)
-        if (!mask[j]) bias[j] = -4 * opt_.theta_dense;
-    chip_.set_bias(output_, bias);
-}
-
-void EmstdpNetwork::set_learning_shift_offset(int offset) {
-    if (offset < 0)
-        throw std::invalid_argument("set_learning_shift_offset: negative offset");
-    shift_offset_ = offset;
-    const int base = opt_.learning_shift() +
-                     (opt_.pre_window == loihi::TraceWindow::Both ? 1 : 0);
-    const loihi::LearningRule rule = loihi::emstdp_rule(base + shift_offset_);
-    for (auto proj : plastic_) chip_.set_learning_rule(proj, rule);
-}
-
-std::vector<std::vector<std::int32_t>> EmstdpNetwork::plastic_weights() const {
-    std::vector<std::vector<std::int32_t>> out;
-    out.reserve(plastic_.size());
-    for (auto proj : plastic_) out.push_back(chip_.weights(proj));
-    return out;
-}
-
-void EmstdpNetwork::set_plastic_weights(
-    const std::vector<std::vector<std::int32_t>>& w) {
-    if (w.size() != plastic_.size())
-        throw std::invalid_argument("set_plastic_weights: layer count mismatch");
-    for (std::size_t p = 0; p < plastic_.size(); ++p)
-        chip_.program_weights(plastic_[p], w[p]);
 }
 
 void EmstdpNetwork::save(const std::string& path) const {

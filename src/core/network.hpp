@@ -15,9 +15,11 @@
 //   DFA: out_err broadcast to hidden somata's aux compartments through
 //        fixed random weights; GatedAdd join implements the h' gate
 //
-// Per training sample (Operation Flow 1): program input & label biases,
-// run phase 1 (T steps), reset membranes, run phase 2 (T steps), apply the
-// sum-of-products learning rule, reset network state.
+// Per training sample (Operation Flow 1, paper Sec. IV-A): program input &
+// label biases, run phase 1 (T steps), reset membranes, run phase 2 (T
+// steps), apply the sum-of-products learning rule. OperationFlow holds that
+// protocol once; EmstdpNetwork runs it on one chip, and
+// core::ShardedEmstdpNetwork on several.
 
 #include <cstdint>
 #include <optional>
@@ -41,15 +43,17 @@ struct StructuralCosts {
     std::size_t feedback_compartments = 0;
 };
 
-class EmstdpNetwork {
+/// Operation Flow 1 over a Chip-shaped `Substrate`: one loihi::Chip, or the
+/// loihi::ShardedChip facade that steps several chips in lockstep. The
+/// subclass builds (or splits) the network and sets the ids below; every
+/// per-sample step happens here, so single-chip and sharded runs share one
+/// protocol. Host spike insertion is the only substrate-specific step: the
+/// single chip supports it, and ShardedEmstdpNetwork rejects
+/// InputMode::SpikeInsertion. Instantiated for both substrates in
+/// network.cpp.
+template <typename Substrate>
+class OperationFlow {
 public:
-    /// Builds the network. `conv` may be null: the dense stack then trains
-    /// directly on the (flattened) input — used by unit tests and toy tasks.
-    /// `hidden` holds the dense hidden sizes (the paper uses {100}).
-    EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c, std::size_t in_h,
-                  std::size_t in_w, const snn::ConvertedStack* conv,
-                  std::vector<std::size_t> hidden, std::size_t classes);
-
     /// One online training step (phase 1 + phase 2 + weight update).
     void train_sample(const common::Tensor& image, std::size_t label);
 
@@ -68,7 +72,79 @@ public:
     /// reduced learning rate of IOL step 1. Negative offsets are rejected.
     void set_learning_shift_offset(int offset);
 
-    // ---- replication & weight sync (parallel trainer support) --------------
+    // ---- weight sync (parallel trainer, runtime sessions) ------------------
+    /// Current weights of every plastic projection, in plastic_projections()
+    /// order (frozen conv weights are excluded — they never change).
+    std::vector<std::vector<std::int32_t>> plastic_weights() const;
+
+    /// Reprograms every plastic projection (sizes must match
+    /// plastic_weights(); values must fit the weight precision). Works on a
+    /// finalized chip — the host-side equivalent of rewriting synaptic
+    /// memory — and leaves stuck-at faulted cells untouched.
+    void set_plastic_weights(const std::vector<std::vector<std::int32_t>>& w);
+
+    // ---- probing ------------------------------------------------------------
+    Substrate& chip() { return chip_; }
+    const Substrate& chip() const { return chip_; }
+    const EmstdpOptions& options() const { return opt_; }
+
+    loihi::PopulationId input_pop() const { return input_; }
+    loihi::PopulationId output_pop() const { return output_; }
+    /// The label population (nullopt for inference-only builds). Exposed for
+    /// drivers that replay Operation Flow 1 through public Chip calls, such
+    /// as perfbench's traced train_paper run.
+    std::optional<loihi::PopulationId> label_pop() const { return label_; }
+    const std::vector<loihi::ProjectionId>& plastic_projections() const {
+        return plastic_;
+    }
+
+protected:
+    OperationFlow(const EmstdpOptions& opt, Substrate chip, std::size_t classes);
+    /// Takes `proto`'s options, ids and class mask onto `chip`, a split of
+    /// proto's chip that keeps its population and projection ids.
+    OperationFlow(const OperationFlow<loihi::Chip>& proto, Substrate chip);
+
+    OperationFlow(const OperationFlow&) = default;
+    OperationFlow(OperationFlow&&) = default;
+    OperationFlow& operator=(OperationFlow&&) = default;
+    OperationFlow& operator=(const OperationFlow&) = delete;
+    ~OperationFlow() = default;
+
+    EmstdpOptions opt_;
+    Substrate chip_;
+
+    std::size_t classes_;
+    std::size_t input_size_ = 0;
+    std::int32_t label_bias_value_;
+
+    loihi::PopulationId input_ = 0;
+    loihi::PopulationId output_ = 0;
+    std::optional<loihi::PopulationId> label_;
+    std::vector<loihi::ProjectionId> plastic_;
+
+    std::vector<bool> class_mask_;
+
+private:
+    template <typename>
+    friend class OperationFlow;
+
+    void program_input(const common::Tensor& image);
+    void run_phase(loihi::Phase phase);
+
+    /// Spike-insertion rasters for the current sample (SpikeInsertion mode).
+    std::vector<std::vector<bool>> rasters_;
+};
+
+class EmstdpNetwork : public OperationFlow<loihi::Chip> {
+public:
+    /// Builds the network. `conv` may be null: the dense stack then trains
+    /// directly on the (flattened) input — used by unit tests and toy tasks.
+    /// `hidden` holds the dense hidden sizes (the paper uses {100}).
+    EmstdpNetwork(const EmstdpOptions& opt, std::size_t in_c, std::size_t in_h,
+                  std::size_t in_w, const snn::ConvertedStack* conv,
+                  std::vector<std::size_t> hidden, std::size_t classes);
+
+    // ---- replication --------------------------------------------------------
     /// Explicit replication: the replica behaves exactly like an independent
     /// deep copy (device faults, class masks, RNG streams and all dynamic
     /// state are captured as of this call), but the finalized chip structure
@@ -83,16 +159,6 @@ public:
     EmstdpNetwork& operator=(EmstdpNetwork&&) = default;
     EmstdpNetwork& operator=(const EmstdpNetwork&) = delete;
 
-    /// Current weights of every plastic projection, in plastic_projections()
-    /// order (frozen conv weights are excluded — they never change).
-    std::vector<std::vector<std::int32_t>> plastic_weights() const;
-
-    /// Reprograms every plastic projection (sizes must match
-    /// plastic_weights(); values must fit the weight precision). Works on a
-    /// finalized chip — the host-side equivalent of rewriting synaptic
-    /// memory — and leaves stuck-at faulted cells untouched.
-    void set_plastic_weights(const std::vector<std::vector<std::int32_t>>& w);
-
     // ---- deployment ---------------------------------------------------------
     /// Checkpoints every synaptic weight (trained dense + frozen conv) to a
     /// file; load() restores it into an identically-built network. This is
@@ -106,58 +172,19 @@ public:
     void load(const std::string& path);
 
     // ---- probing ------------------------------------------------------------
-    loihi::Chip& chip() { return chip_; }
-    const loihi::Chip& chip() const { return chip_; }
     StructuralCosts costs() const;
-    const EmstdpOptions& options() const { return opt_; }
-
-    loihi::PopulationId input_pop() const { return input_; }
-    /// The population feeding the first plastic layer (conv2 or input).
-    /// Conv neurons sit at their snn::conv_placement compartments.
-    loihi::PopulationId feature_pop() const { return feature_; }
     const std::vector<loihi::PopulationId>& hidden_pops() const { return hidden_pops_; }
-    loihi::PopulationId output_pop() const { return output_; }
-    /// The label population (nullopt for inference-only builds). Exposed for
-    /// drivers that replay the training protocol on a different substrate
-    /// (core::ShardedEmstdpNetwork).
-    std::optional<loihi::PopulationId> label_pop() const { return label_; }
-    const std::vector<loihi::ProjectionId>& plastic_projections() const {
-        return plastic_;
-    }
 
 private:
     /// Reachable only through replicate().
     EmstdpNetwork(const EmstdpNetwork&) = default;
 
-    EmstdpOptions opt_;
-    loihi::Chip chip_;
-
-    std::size_t classes_;
-    std::size_t input_size_;
-    std::int32_t label_bias_value_;
-
-    loihi::PopulationId input_ = 0;
-    std::optional<loihi::PopulationId> conv1_, conv2_;
-    loihi::PopulationId feature_ = 0;
     std::vector<loihi::PopulationId> hidden_pops_;
-    loihi::PopulationId output_ = 0;
-    std::optional<loihi::PopulationId> label_;
     std::optional<loihi::PopulationId> out_err_pos_, out_err_neg_;
     std::vector<loihi::PopulationId> hid_err_pos_, hid_err_neg_;  // FA only
 
-    std::vector<loihi::ProjectionId> plastic_;
     std::vector<loihi::ProjectionId> feedback_projections_;
     std::vector<loihi::ProjectionId> conv_projections_;
-
-    std::vector<bool> class_mask_;
-    int shift_offset_ = 0;
-
-    /// Spike-insertion rasters for the current sample (SpikeInsertion mode).
-    std::vector<std::vector<bool>> rasters_;
-
-    void program_input(const common::Tensor& image);
-    void run_phase(loihi::Phase phase);
-    void apply_rules();
 };
 
 }  // namespace neuro::core

@@ -1,11 +1,8 @@
 #include "core/sharded_network.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "common/rng.hpp"
-#include "data/encode.hpp"
-#include "loihi/learning.hpp"
 
 namespace neuro::core {
 
@@ -47,8 +44,7 @@ ShardedEmstdpNetwork::ShardedEmstdpNetwork(const EmstdpNetwork& proto,
 ShardedEmstdpNetwork::ShardedEmstdpNetwork(const EmstdpNetwork& proto,
                                            loihi::ShardPlan plan,
                                            std::size_t step_threads)
-    : opt_(proto.options()),
-      chips_([&] {
+    : OperationFlow(proto, [&] {
           if (proto.options().input_mode == InputMode::SpikeInsertion)
               throw std::invalid_argument(
                   "ShardedEmstdpNetwork: InputMode::SpikeInsertion is not "
@@ -56,121 +52,11 @@ ShardedEmstdpNetwork::ShardedEmstdpNetwork(const EmstdpNetwork& proto,
                   "routed; use BiasProgramming)");
           return loihi::ShardedChip(proto.chip(), std::move(plan),
                                     step_threads);
-      }()),
-      classes_(proto.chip().population_size(proto.output_pop())),
-      input_size_(proto.chip().population_size(proto.input_pop())),
-      label_bias_value_(static_cast<std::int32_t>(std::lround(
-          opt_.target_rate * static_cast<float>(opt_.phase_length)))),
-      input_(proto.input_pop()),
-      label_(proto.label_pop()),
-      output_(proto.output_pop()),
-      plastic_(proto.plastic_projections()) {
+      }()) {
     // Re-seed exactly the way EmstdpNetwork's constructor does, so a
     // 1-shard split of a fresh prototype consumes identical streams.
     common::Rng rng(opt_.seed);
-    chips_.seed_learning_noise(rng.next_u64() | 1);
-    // Recover the class mask from the prototype's output clamps (a masked
-    // class holds a strongly negative bias — see set_class_mask), so the
-    // bookkeeping agrees with the captured bias registers.
-    class_mask_.assign(classes_, true);
-    const auto out_bias = proto.chip().biases(output_);
-    for (std::size_t j = 0; j < classes_; ++j) class_mask_[j] = out_bias[j] >= 0;
-}
-
-// The per-sample protocol below (train_sample / output_counts / predict /
-// set_class_mask / set_learning_shift_offset) deliberately mirrors
-// EmstdpNetwork line for line — the two must stay in lockstep or sharded
-// and single-chip runs silently diverge. The contract is enforced by
-// ShardedExecution.SingleShardBitIdenticalToSingleChip (weights, counts,
-// ActivityTotals): a protocol change on either side breaks it.
-
-void ShardedEmstdpNetwork::run_phase(loihi::Phase phase) {
-    chips_.set_phase(phase);
-    chips_.run(static_cast<std::size_t>(opt_.phase_length));
-}
-
-void ShardedEmstdpNetwork::train_sample(const common::Tensor& image,
-                                        std::size_t label) {
-    if (opt_.inference_only)
-        throw std::logic_error(
-            "ShardedEmstdpNetwork: inference-only network cannot train");
-    if (label >= classes_)
-        throw std::out_of_range("ShardedEmstdpNetwork: bad label");
-
-    chips_.reset_dynamic_state();
-    if (image.size() != input_size_)
-        throw std::invalid_argument("ShardedEmstdpNetwork: image size mismatch");
-    chips_.set_bias(input_, data::quantize_to_bias(image, opt_.phase_length));
-    std::vector<std::int32_t> lb(classes_, 0);
-    if (class_mask_[label]) lb[label] = label_bias_value_;
-    chips_.set_bias(*label_, lb);
-
-    run_phase(loihi::Phase::One);
-    chips_.reset_membranes();
-    run_phase(loihi::Phase::Two);
-    chips_.apply_learning();
-}
-
-std::vector<std::int32_t> ShardedEmstdpNetwork::output_counts(
-    const common::Tensor& image) {
-    chips_.reset_dynamic_state();
-    if (image.size() != input_size_)
-        throw std::invalid_argument("ShardedEmstdpNetwork: image size mismatch");
-    chips_.set_bias(input_, data::quantize_to_bias(image, opt_.phase_length));
-    if (label_) chips_.clear_bias(*label_);
-    run_phase(loihi::Phase::One);
-    return chips_.spike_counts(output_, loihi::Phase::One);
-}
-
-std::size_t ShardedEmstdpNetwork::predict(const common::Tensor& image) {
-    const auto counts = output_counts(image);
-    std::size_t best = 0;
-    std::int64_t best_v = chips_.membrane(output_, 0);
-    for (std::size_t j = 1; j < counts.size(); ++j) {
-        const std::int64_t vj = chips_.membrane(output_, j);
-        if (counts[j] > counts[best] ||
-            (counts[j] == counts[best] && vj > best_v)) {
-            best = j;
-            best_v = vj;
-        }
-    }
-    return best;
-}
-
-void ShardedEmstdpNetwork::set_class_mask(const std::vector<bool>& mask) {
-    if (mask.size() != classes_)
-        throw std::invalid_argument("set_class_mask: size mismatch");
-    class_mask_ = mask;
-    std::vector<std::int32_t> bias(classes_, 0);
-    for (std::size_t j = 0; j < classes_; ++j)
-        if (!mask[j]) bias[j] = -4 * opt_.theta_dense;
-    chips_.set_bias(output_, bias);
-}
-
-void ShardedEmstdpNetwork::set_learning_shift_offset(int offset) {
-    if (offset < 0)
-        throw std::invalid_argument("set_learning_shift_offset: negative offset");
-    const int base =
-        opt_.learning_shift() +
-        (opt_.pre_window == loihi::TraceWindow::Both ? 1 : 0);
-    const loihi::LearningRule rule = loihi::emstdp_rule(base + offset);
-    for (auto proj : plastic_) chips_.set_learning_rule(proj, rule);
-}
-
-std::vector<std::vector<std::int32_t>> ShardedEmstdpNetwork::plastic_weights()
-    const {
-    std::vector<std::vector<std::int32_t>> out;
-    out.reserve(plastic_.size());
-    for (auto proj : plastic_) out.push_back(chips_.weights(proj));
-    return out;
-}
-
-void ShardedEmstdpNetwork::set_plastic_weights(
-    const std::vector<std::vector<std::int32_t>>& w) {
-    if (w.size() != plastic_.size())
-        throw std::invalid_argument("set_plastic_weights: layer count mismatch");
-    for (std::size_t p = 0; p < plastic_.size(); ++p)
-        chips_.program_weights(plastic_[p], w[p]);
+    chip_.seed_learning_noise(rng.next_u64() | 1);
 }
 
 }  // namespace neuro::core

@@ -5,20 +5,18 @@
 //
 // The class builds the ordinary single-chip prototype first — so topology,
 // weight initialization and RNG seeding are *identical* to EmstdpNetwork —
-// then shards its finalized structure per a ShardPlan and replays the
-// paper's Operation Flow 1 against the sharded substrate. With one shard
-// the result is bit-identical to EmstdpNetwork (same weights, same spike
-// counts, same ActivityTotals); with several shards the forward pass is
-// still bit-identical (spiking consumes no RNG in the default
-// configuration) and training is deterministic for any shard count, with
-// per-shard / per-cut-projection stochastic-rounding streams replacing the
-// single chip-wide stream.
+// then shards its finalized structure per a ShardPlan and runs the one
+// Operation Flow 1 (core::OperationFlow) on the loihi::ShardedChip facade.
+// With one shard the result is bit-identical to EmstdpNetwork (same
+// weights, same spike counts, same ActivityTotals); with several shards the
+// forward pass is still bit-identical (spiking consumes no RNG in the
+// default configuration) and training is deterministic for any shard count,
+// with per-shard / per-cut-projection stochastic-rounding streams replacing
+// the single chip-wide stream.
 
-#include <cstdint>
-#include <optional>
+#include <cstddef>
 #include <vector>
 
-#include "common/tensor.hpp"
 #include "core/network.hpp"
 #include "core/options.hpp"
 #include "loihi/router.hpp"
@@ -31,7 +29,7 @@ namespace neuro::core {
 loihi::ShardPlan plan_network_shards(const loihi::Chip& chip,
                                      std::size_t num_shards);
 
-class ShardedEmstdpNetwork {
+class ShardedEmstdpNetwork : public OperationFlow<loihi::ShardedChip> {
 public:
     /// Builds the prototype EmstdpNetwork and shards it. `num_shards` 0
     /// plans automatically (minimum chips that fit the mapping; 1 when the
@@ -49,16 +47,15 @@ public:
 
     /// Shards an already-built (possibly trained) network: the prototype's
     /// current weights, biases, device state, live learning rules and class
-    /// mask (recovered from its output-neuron clamps) are captured; its
-    /// stochastic-rounding streams are re-seeded deterministically from the
-    /// options seed. The prototype is only read.
+    /// mask are captured; its stochastic-rounding streams are re-seeded
+    /// deterministically from the options seed. The prototype is only read.
     explicit ShardedEmstdpNetwork(const EmstdpNetwork& proto,
                                   std::size_t num_shards = 0,
                                   std::size_t step_threads = 0);
 
     /// Same, with a precomputed plan (must cover the prototype's
-    /// populations) — the path the runtime backend takes after planning
-    /// once for its degenerate-shard check.
+    /// populations) — the path the runtime takes after planning once to
+    /// decide between one chip and several.
     ShardedEmstdpNetwork(const EmstdpNetwork& proto, loihi::ShardPlan plan,
                          std::size_t step_threads = 0);
 
@@ -70,50 +67,13 @@ public:
     ShardedEmstdpNetwork& operator=(ShardedEmstdpNetwork&&) = delete;
     ShardedEmstdpNetwork& operator=(const ShardedEmstdpNetwork&) = delete;
 
-    // ---- the EmstdpNetwork workload surface --------------------------------
-    void train_sample(const common::Tensor& image, std::size_t label);
-    std::size_t predict(const common::Tensor& image);
-    std::vector<std::int32_t> output_counts(const common::Tensor& image);
-
-    void set_class_mask(const std::vector<bool>& mask);
-    void set_learning_shift_offset(int offset);
-
-    std::vector<std::vector<std::int32_t>> plastic_weights() const;
-    void set_plastic_weights(const std::vector<std::vector<std::int32_t>>& w);
-
-    void seed_learning_noise(std::uint64_t seed) {
-        chips_.seed_learning_noise(seed);
-    }
-
-    // ---- probing -----------------------------------------------------------
-    loihi::ShardedChip& chips() { return chips_; }
-    const loihi::ShardedChip& chips() const { return chips_; }
-    std::size_t num_shards() const { return chips_.num_shards(); }
-    const loihi::ShardPlan& plan() const { return chips_.plan(); }
-    const EmstdpOptions& options() const { return opt_; }
-    /// System-wide activity totals (see ShardedChip::activity).
-    loihi::ActivityTotals activity() const { return chips_.activity(); }
-    void reset_activity() { chips_.reset_activity(); }
+    // ---- shard probing (the substrate itself is chip()) ---------------------
+    std::size_t num_shards() const { return chip_.num_shards(); }
+    const loihi::ShardPlan& plan() const { return chip_.plan(); }
 
 private:
     /// Reachable only through replicate().
     ShardedEmstdpNetwork(const ShardedEmstdpNetwork&) = default;
-
-    void run_phase(loihi::Phase phase);
-
-    EmstdpOptions opt_;
-    loihi::ShardedChip chips_;
-
-    std::size_t classes_;
-    std::size_t input_size_;
-    std::int32_t label_bias_value_;
-
-    loihi::PopulationId input_ = 0;
-    std::optional<loihi::PopulationId> label_;
-    loihi::PopulationId output_ = 0;
-    std::vector<loihi::ProjectionId> plastic_;
-
-    std::vector<bool> class_mask_;
 };
 
 }  // namespace neuro::core

@@ -42,6 +42,22 @@ double evaluate_protocol(const data::Dataset& test, PredictFn predict) {
     return static_cast<double>(hits) / static_cast<double>(test.size());
 }
 
+/// measure_energy's sample loop on either substrate: fresh activity
+/// counters, then `samples` training steps or inferences cycling over `ds`.
+template <typename Net>
+void run_energy_samples(Net& net, const data::Dataset& ds, std::size_t samples,
+                        bool training) {
+    if (ds.size() == 0) throw std::invalid_argument("measure_energy: empty dataset");
+    net.chip().reset_activity();
+    for (std::size_t i = 0; i < samples; ++i) {
+        const auto& s = ds.samples[i % ds.size()];
+        if (training)
+            net.train_sample(s.image, s.label);
+        else
+            (void)net.predict(s.image);
+    }
+}
+
 }  // namespace
 
 double train_epoch(EmstdpNetwork& net, const data::Dataset& stream,
@@ -60,15 +76,7 @@ double evaluate(EmstdpNetwork& net, const data::Dataset& test) {
 loihi::EnergyReport measure_energy(EmstdpNetwork& net, const data::Dataset& ds,
                                    std::size_t samples, bool training,
                                    const loihi::EnergyModelParams& params) {
-    if (ds.size() == 0) throw std::invalid_argument("measure_energy: empty dataset");
-    net.chip().reset_activity();
-    for (std::size_t i = 0; i < samples; ++i) {
-        const auto& s = ds.samples[i % ds.size()];
-        if (training)
-            net.train_sample(s.image, s.label);
-        else
-            (void)net.predict(s.image);
-    }
+    run_energy_samples(net, ds, samples, training);
     return loihi::estimate_energy(params, net.chip(), net.chip().activity(), samples);
 }
 
@@ -98,44 +106,35 @@ loihi::EnergyReport measure_energy(runtime::Session& session,
                                    const loihi::EnergyModelParams& params) {
     if (auto* net = session.native_network())
         return measure_energy(*net, ds, samples, training, params);
-    if (auto* sharded = session.native_sharded_network()) {
-        // Multi-chip operating point: every chip steps behind the same
-        // barrier, so the system step time is the slowest shard's; power
-        // (incl. per-chip base power) and cores add up across the package.
-        // Inter-chip link energy is not modeled.
-        if (ds.size() == 0)
-            throw std::invalid_argument("measure_energy: empty dataset");
-        sharded->reset_activity();
-        for (std::size_t i = 0; i < samples; ++i) {
-            const auto& s = ds.samples[i % ds.size()];
-            if (training)
-                session.train(s.image, s.label);
-            else
-                (void)session.predict(s.image);
-        }
-        loihi::EnergyReport total{};
-        const auto& chips = sharded->chips();
-        for (std::size_t sh = 0; sh < chips.num_shards(); ++sh) {
-            // shard_activity includes the shard's slice of the router's
-            // work (inbound cross-chip deliveries, cut-projection learning
-            // visits) — the synaptic work exists whether or not the synapse
-            // crossed a chip boundary.
-            const auto r = loihi::estimate_energy(
-                params, chips.shard(sh), chips.shard_activity(sh), samples);
-            total.step_seconds = std::max(total.step_seconds, r.step_seconds);
-            total.power_w += r.power_w;
-            total.cores += r.cores;
-            total.steps_per_sample = std::max(total.steps_per_sample,
-                                              r.steps_per_sample);
-        }
-        total.sample_seconds =
-            total.step_seconds * static_cast<double>(total.steps_per_sample);
-        total.fps = total.sample_seconds > 0 ? 1.0 / total.sample_seconds : 0.0;
-        total.energy_per_sample_j = total.power_w * total.sample_seconds;
-        return total;
+    auto* sharded = session.native_sharded_network();
+    if (!sharded)
+        throw std::invalid_argument(
+            "measure_energy: this backend has no activity/energy model");
+    run_energy_samples(*sharded, ds, samples, training);
+    // Multi-chip operating point: every chip steps behind the same barrier,
+    // so the system step time is the slowest shard's; power (incl. per-chip
+    // base power) and cores add up across the package. Inter-chip link
+    // energy is not modeled.
+    loihi::EnergyReport total{};
+    const auto& chips = sharded->chip();
+    for (std::size_t sh = 0; sh < chips.num_shards(); ++sh) {
+        // shard_activity includes the shard's slice of the router's work
+        // (inbound cross-chip deliveries, cut-projection learning visits) —
+        // the synaptic work exists whether or not the synapse crossed a chip
+        // boundary.
+        const auto r = loihi::estimate_energy(
+            params, chips.shard(sh), chips.shard_activity(sh), samples);
+        total.step_seconds = std::max(total.step_seconds, r.step_seconds);
+        total.power_w += r.power_w;
+        total.cores += r.cores;
+        total.steps_per_sample =
+            std::max(total.steps_per_sample, r.steps_per_sample);
     }
-    throw std::invalid_argument(
-        "measure_energy: this backend has no activity/energy model");
+    total.sample_seconds =
+        total.step_seconds * static_cast<double>(total.steps_per_sample);
+    total.fps = total.sample_seconds > 0 ? 1.0 / total.sample_seconds : 0.0;
+    total.energy_per_sample_j = total.power_w * total.sample_seconds;
+    return total;
 }
 
 }  // namespace neuro::core

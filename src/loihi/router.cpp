@@ -162,7 +162,6 @@ void ShardedChip::ensure_pool() {
 }
 
 void ShardedChip::set_phase(Phase phase) {
-    phase_ = phase;
     for (auto& chip : chips_) chip.set_phase(phase);
 }
 
@@ -364,10 +363,6 @@ void ShardedChip::reset_membranes() {
                       [](const RouteDelivery& d) { return d.delay == 0; });
 }
 
-std::size_t ShardedChip::population_size(PopulationId pop) const {
-    return chips_[pop_shard_.at(pop)].population_size(pop_local_[pop]);
-}
-
 std::vector<std::int32_t> ShardedChip::spike_counts(PopulationId pop,
                                                     Phase phase) const {
     return chips_[pop_shard_.at(pop)].spike_counts(pop_local_[pop], phase);
@@ -416,14 +411,6 @@ void ShardedChip::program_weights(ProjectionId proj,
     for (std::size_t i = 0; i < w.size(); ++i)
         cp.eff[i] = static_cast<std::int32_t>(static_cast<std::int64_t>(w[i])
                                               << cp.cfg.weight_exp);
-}
-
-std::size_t ShardedChip::synapse_count(ProjectionId proj) const {
-    if (proj >= proj_shard_.size())
-        throw std::invalid_argument("synapse_count: bad projection");
-    if (proj_shard_[proj] == kCross)
-        return cross_[proj_local_[proj]].synapses.size();
-    return chips_[proj_shard_[proj]].synapse_count(proj_local_[proj]);
 }
 
 std::uint64_t ShardedChip::routed_spikes() const {

@@ -65,11 +65,9 @@ public:
     /// Direct access to one shard's chip (tests / probing).
     Chip& shard(std::size_t s) { return chips_[s]; }
     const Chip& shard(std::size_t s) const { return chips_[s]; }
-    const ChipLimits& limits() const { return limits_; }
 
     // ---- Chip-shaped facade (logical ids = prototype ids) ------------------
     void set_phase(Phase phase);
-    Phase phase() const { return phase_; }
     void step();
     void run(std::size_t steps);
 
@@ -83,14 +81,12 @@ public:
     void reset_dynamic_state();
     void reset_membranes();
 
-    std::size_t population_size(PopulationId pop) const;
     std::vector<std::int32_t> spike_counts(PopulationId pop, Phase phase) const;
     std::vector<std::int32_t> spike_counts_total(PopulationId pop) const;
     std::int64_t membrane(PopulationId pop, std::size_t idx) const;
 
     std::vector<std::int32_t> weights(ProjectionId proj) const;
     void program_weights(ProjectionId proj, const std::vector<std::int32_t>& w);
-    std::size_t synapse_count(ProjectionId proj) const;
 
     /// True when the projection's endpoints live on different shards (its
     /// synapses are carried by the router).
@@ -155,7 +151,6 @@ private:
     ShardPlan plan_;
     ChipLimits limits_;
     std::vector<Chip> chips_;
-    Phase phase_ = Phase::One;
     std::uint64_t now_ = 0;
 
     // Logical-id maps (prototype numbering).

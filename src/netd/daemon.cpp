@@ -549,8 +549,6 @@ std::string Daemon::run_control_command(const std::string& line) {
     std::istringstream in(line);
     std::string cmd, arg, arg2, arg3;
     in >> cmd >> arg >> arg2 >> arg3;
-    // The default model: target of the legacy weight-publication commands.
-    const runtime::CompiledModel& model = *router_->default_model();
 
     try {
         if (cmd == "ping") return "ok pong";
@@ -561,7 +559,8 @@ std::string Daemon::run_control_command(const std::string& line) {
             return "ok " + stats_json();
         }
         if (cmd == "version")
-            return "ok " + std::to_string(model.published_version());
+            return "ok " + std::to_string(
+                               router_->default_model()->published_version());
         if (cmd == "models") return "ok " + models_json();
         if (cmd == "metrics") {
             // The one multi-line control reply: Prometheus text whose last
@@ -616,8 +615,7 @@ std::string Daemon::run_control_command(const std::string& line) {
             }
             // Legacy form: back to the compiled-in initial weights;
             // sessions pick the image up at their next refresh().
-            model.publish_weights(model.initial_weights());
-            pinned_version_ = 0;
+            publish_default(0);
             return "ok unloaded";
         }
         if (cmd == "versions") {
@@ -670,10 +668,8 @@ std::string Daemon::run_control_command(const std::string& line) {
             }
             if (!registry_->has(version))
                 return "err unknown version: " + std::to_string(version);
-            model.publish_weights(registry_->load(version));
-            pinned_version_ = version;
             return "ok pinned " + std::to_string(version) + " published " +
-                   std::to_string(model.published_version());
+                   std::to_string(publish_default(version));
         }
         if (cmd == "rollback") {
             if (!registry_) return "err no registry";
@@ -689,10 +685,8 @@ std::string Daemon::run_control_command(const std::string& line) {
             if (idx == 0 || idx == entries.size())
                 return "err nothing to roll back to";
             const std::uint64_t version = entries[idx - 1].version;
-            model.publish_weights(registry_->load(version));
-            pinned_version_ = version;
             return "ok pinned " + std::to_string(version) + " published " +
-                   std::to_string(model.published_version());
+                   std::to_string(publish_default(version));
         }
     } catch (const std::exception& e) {
         return std::string("err ") + e.what();
@@ -754,6 +748,22 @@ std::string Daemon::models_json() const {
         out += entry_json(s);
     }
     return out + "]";
+}
+
+std::uint64_t Daemon::publish_default(std::uint64_t version) {
+    const runtime::CompiledModel& model = *router_->default_model();
+    double accuracy = 0.0;
+    if (version != 0)
+        for (const auto& e : registry_->entries())
+            if (e.version == version) accuracy = e.accuracy;
+    const std::uint64_t published =
+        model.publish_weights(version == 0 ? model.initial_weights()
+                                           : registry_->load(version));
+    pinned_version_ = version;
+    if (obs::FlightRecorder* rec = router_->options().recorder)
+        rec->record(obs::EventKind::WeightPublish, router_->clock()->now_us(),
+                    "", version, obs::accuracy_ppm(accuracy));
+    return published;
 }
 
 void Daemon::record_conn_error(int fd, const char* what) {

@@ -208,6 +208,11 @@ private:
     void collect_metrics(std::string& out) const;
     /// Records a ConnError flight event when the router has a recorder.
     void record_conn_error(int fd, const char* what);
+    /// Publishes registry `version` to the default model (0 = its compiled
+    /// initial weights), makes it the anchor `rollback` steps back from, and
+    /// records a WeightPublish flight event (detail "", a = version, b = the
+    /// version's registry accuracy in ppm). Returns the published id.
+    std::uint64_t publish_default(std::uint64_t version);
 
     // ---- cross-thread delivery (worker callbacks) ----
     void deliver(const ConnPtr& conn, std::vector<std::uint8_t> bytes);

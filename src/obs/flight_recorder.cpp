@@ -1,6 +1,7 @@
 #include "obs/flight_recorder.hpp"
 
 #include <cstring>
+#include <thread>
 
 #include "common/json.hpp"
 #include "obs/trace.hpp"
@@ -84,7 +85,21 @@ void FlightRecorder::record(const Event& e) {
     const std::array<std::uint64_t, kWords> w = pack(e);
     const std::uint64_t t = head_.fetch_add(1, std::memory_order_acq_rel);
     Slot& s = slots_[t & mask_];
-    s.seq.store(2 * t + 1, std::memory_order_release);
+    // Claim the slot from an older, complete event (see the header): one
+    // writer at a time writes a slot, and never an older event over a newer.
+    std::uint64_t seq = s.seq.load(std::memory_order_acquire);
+    for (;;) {
+        if (seq > 2 * t) return;
+        if (seq % 2 == 1) {
+            std::this_thread::yield();
+            seq = s.seq.load(std::memory_order_acquire);
+        } else if (s.seq.compare_exchange_weak(seq, 2 * t + 1,
+                                               std::memory_order_acquire)) {
+            break;
+        }
+    }
+    // Orders the claim before the word stores for a concurrent reader.
+    std::atomic_thread_fence(std::memory_order_release);
     for (std::size_t i = 0; i < kWords; ++i)
         s.words[i].store(w[i], std::memory_order_relaxed);
     s.seq.store(2 * t + 2, std::memory_order_release);

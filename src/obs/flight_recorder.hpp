@@ -10,24 +10,26 @@
 // slots; the control socket dumps them as JSON (`events [n]`).
 //
 // Concurrency contract:
-//   * record() is wait-free for writers (one fetch_add claims a ticket,
-//     then plain relaxed atomic stores into the claimed slot) and safe
-//     from any thread — serving workers, the epoll loop, the learner.
-//   * snapshot() never blocks writers. Each slot carries a sequence word
-//     (2*ticket+1 while being written, 2*ticket+2 when complete); the
-//     reader copies a slot's words and discards it when the sequence
-//     changed underneath — a slot overwritten mid-read yields a dropped
-//     event, never a blocked writer or a torn read (every word is an
-//     atomic, so the scheme is TSan-clean by construction).
+//   * record() is safe from any thread — serving workers, the epoll loop,
+//     the learner. A fetch_add takes ticket t; a compare-exchange claims
+//     the slot by moving its sequence word from an older complete value
+//     (even, < 2t) to 2t+1; the words follow, then 2t+2. A writer lapped
+//     by a newer sequence drops its event (older than the ring's window);
+//     one that meets an older writer mid-write (odd) yields until it ends.
+//   * snapshot() never blocks writers and never waits. It copies a slot's
+//     words and discards them when the sequence changed underneath — a
+//     slot overwritten mid-read yields a dropped event, never a torn read
+//     (every word is an atomic, so the scheme is TSan-clean).
 //   * Events are best-effort diagnostics: under writer bursts faster than
-//     capacity, the oldest events are overwritten silently — the ring
-//     records the RECENT past, total_recorded() keeps the all-time count.
+//     capacity, the oldest events are overwritten or dropped silently — the
+//     ring records the RECENT past, total_recorded() the all-time count.
 //
 // The payload is a fixed Event struct packed into kWords u64 slots: no
 // allocation, no pointers, so an Event is valid forever once copied out.
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -50,6 +52,13 @@ enum class EventKind : std::uint8_t {
                        ///< spans[] = SpanId 1..7 values)
 };
 const char* to_string(EventKind k);
+
+/// Accuracy as integer parts-per-million, the b word of WeightPublish and
+/// Rollback events (events pack into u64 slots; 1e6 keeps 4 significant
+/// digits).
+inline std::uint64_t accuracy_ppm(double acc) {
+    return acc <= 0.0 ? 0 : static_cast<std::uint64_t>(std::llround(acc * 1e6));
+}
 
 struct Event {
     std::uint64_t t_us = 0;   ///< serving-Clock time of the event

@@ -1,6 +1,5 @@
 #include "online/engine.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -9,15 +8,6 @@
 #include "obs/flight_recorder.hpp"
 #include "serve/admission.hpp"
 #include "serve/clock.hpp"
-
-namespace {
-/// Accuracy as integer parts-per-million — what the flight event's b word
-/// carries (events pack into u64 slots; 1e6 keeps 4 significant digits).
-std::uint64_t acc_ppm(double acc) {
-    return acc <= 0.0 ? 0
-                      : static_cast<std::uint64_t>(std::llround(acc * 1e6));
-}
-}  // namespace
 
 namespace neuro::online {
 
@@ -170,7 +160,7 @@ void OnlineEngine::evaluate_candidate() {
         if (opt_.recorder)
             opt_.recorder->record(obs::EventKind::WeightPublish,
                                   serve::default_clock()->now_us(), "online",
-                                  version, acc_ppm(acc));
+                                  version, obs::accuracy_ppm(acc));
         std::lock_guard<std::mutex> lock(stats_m_);
         ++stats_.candidates;
         ++stats_.published;
@@ -185,7 +175,7 @@ void OnlineEngine::evaluate_candidate() {
         if (opt_.recorder)
             opt_.recorder->record(obs::EventKind::Rollback,
                                   serve::default_clock()->now_us(), "online",
-                                  0, acc_ppm(acc));
+                                  0, obs::accuracy_ppm(acc));
         std::lock_guard<std::mutex> lock(stats_m_);
         ++stats_.candidates;
         ++stats_.rollbacks;

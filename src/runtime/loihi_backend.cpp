@@ -1,17 +1,20 @@
 #include "runtime/loihi_backend.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 
-#include "core/network.hpp"
-#include "runtime/sharded_backend.hpp"
+#include "core/sharded_network.hpp"
 
 namespace neuro::runtime {
 
 namespace {
 
-class LoihiSession final : public Session {
+/// A session over one replica of `Net` (core::EmstdpNetwork or
+/// core::ShardedEmstdpNetwork); both run the same core::OperationFlow.
+template <typename Net>
+class ChipSession final : public Session {
 public:
-    explicit LoihiSession(core::EmstdpNetwork net) : net_(std::move(net)) {}
+    explicit ChipSession(Net net) : net_(std::move(net)) {}
 
     BackendKind backend() const override { return BackendKind::LoihiSim; }
 
@@ -41,38 +44,49 @@ public:
     }
 
     const loihi::ActivityTotals* activity() const override {
-        return &net_.chip().activity();
+        activity_ = net_.chip().activity();  // ShardedChip sums on read
+        return &activity_;
     }
     const loihi::KernelPhaseTimes* kernel_phases() const override {
-        return &net_.chip().kernel_phase_times();
+        if constexpr (kSingleChip) return &net_.chip().kernel_phase_times();
+        else return nullptr;
     }
-    core::EmstdpNetwork* native_network() override { return &net_; }
+    core::EmstdpNetwork* native_network() override {
+        if constexpr (kSingleChip) return &net_;
+        else return nullptr;
+    }
+    core::ShardedEmstdpNetwork* native_sharded_network() override {
+        if constexpr (kSingleChip) return nullptr;
+        else return &net_;
+    }
 
 private:
-    core::EmstdpNetwork net_;
-};
+    static constexpr bool kSingleChip = std::is_same_v<Net, core::EmstdpNetwork>;
 
-}  // namespace
+    Net net_;
+    mutable loihi::ActivityTotals activity_{};
+};
 
 /// Immutable artifact: a fully-built, finalized prototype network. Sessions
 /// replicate it — which shares the chip structure and weight image — so the
 /// expensive construction happens exactly once, at compile().
-class LoihiCompiledModel final : public CompiledModel {
+template <typename Net>
+class ChipModel final : public CompiledModel {
 public:
-    LoihiCompiledModel(ModelSpec spec, core::EmstdpNetwork proto)
+    ChipModel(ModelSpec spec, Net proto)
         : CompiledModel(std::move(spec)), proto_(std::move(proto)) {}
 
     BackendKind backend() const override { return BackendKind::LoihiSim; }
 
     std::unique_ptr<Session> do_open_session() const override {
-        return std::make_unique<LoihiSession>(proto_.replicate());
+        return std::make_unique<ChipSession<Net>>(proto_.replicate());
     }
 
     std::shared_ptr<const CompiledModel> with_weights(
         const WeightSnapshot& snap) const override {
         auto net = proto_.replicate();
         net.set_plastic_weights(snap.layers);
-        return std::make_shared<LoihiCompiledModel>(spec_, std::move(net));
+        return std::make_shared<ChipModel>(spec_, std::move(net));
     }
 
     WeightSnapshot initial_weights() const override {
@@ -80,36 +94,33 @@ public:
     }
 
 private:
-    core::EmstdpNetwork proto_;
+    Net proto_;
 };
 
-std::shared_ptr<const CompiledModel> make_single_chip_model(
-    ModelSpec spec, core::EmstdpNetwork proto) {
-    return std::make_shared<LoihiCompiledModel>(std::move(spec),
-                                                std::move(proto));
-}
+}  // namespace
 
 std::shared_ptr<const CompiledModel> LoihiSimBackend::compile(
     const ModelSpec& spec) const {
     spec.validate();
-    // An explicit shard request belongs to the sharded backend wholesale.
-    if (spec.shards > 1)
-        return backend_for(BackendKind::ShardedLoihiSim).compile(spec);
     core::EmstdpNetwork proto(spec.options, spec.in_c, spec.in_h, spec.in_w,
                               spec.conv.get(), spec.hidden, spec.classes);
-    // Transparent spill: a model whose mapping exceeds one chip's core
-    // budget compiles to a shard plan instead — same Session API, several
-    // chips underneath — provided every population fits a chip (otherwise
-    // keep the historical permissive single-chip simulation). An explicit
-    // shards == 1 opts out: it pins the single-chip path even over budget.
-    if (spec.shards == 0 && !proto.chip().mapping().feasible) {
+    // ModelSpec::shards: >= 2 forces that many chips; 0 spills a model over
+    // one chip's core budget onto the fewest chips that fit, when it can
+    // shard at all; 1, or an unshardable spill, keeps one permissive chip.
+    const bool forced = spec.shards >= 2;
+    if (forced || (spec.shards == 0 && !proto.chip().mapping().feasible)) {
         try {
-            return make_sharded_model(spec, proto, /*num_shards=*/0);
+            auto plan = core::plan_network_shards(proto.chip(), spec.shards);
+            if (!plan.single())
+                return std::make_shared<ChipModel<core::ShardedEmstdpNetwork>>(
+                    spec, core::ShardedEmstdpNetwork(proto, std::move(plan)));
         } catch (const std::invalid_argument&) {
             // e.g. one population alone exceeds the chip: not shardable.
+            if (forced) throw;
         }
     }
-    return std::make_shared<LoihiCompiledModel>(spec, std::move(proto));
+    return std::make_shared<ChipModel<core::EmstdpNetwork>>(spec,
+                                                            std::move(proto));
 }
 
 std::shared_ptr<const CompiledModel> adopt(const core::EmstdpNetwork& net) {
@@ -122,7 +133,8 @@ std::shared_ptr<const CompiledModel> adopt(const core::EmstdpNetwork& net) {
     for (auto p : net.hidden_pops()) hidden.push_back(chip.population_size(p));
     spec.hidden_layers(std::move(hidden));
     spec.output_classes(chip.population_size(net.output_pop()));
-    return std::make_shared<LoihiCompiledModel>(std::move(spec), net.replicate());
+    return std::make_shared<ChipModel<core::EmstdpNetwork>>(std::move(spec),
+                                                            net.replicate());
 }
 
 }  // namespace neuro::runtime

@@ -1,10 +1,11 @@
 #pragma once
 // LoihiSimBackend: the chip-simulator backend. Sessions wrap a replicated
-// core::EmstdpNetwork and are bit-identical to driving an EmstdpNetwork
-// directly (weights, spike counts, ActivityTotals) — asserted by
-// tests/runtime_test.cpp. Session opening shares the compiled chip
-// structure and the copy-on-write weight image (see loihi::Chip), so no
-// per-session chip deep-copy happens.
+// core::EmstdpNetwork, or a core::ShardedEmstdpNetwork when ModelSpec::shards
+// asks for several chips or the model needs them, and are bit-identical to
+// driving that network directly (weights, spike counts, ActivityTotals) —
+// asserted by tests/runtime_test.cpp and tests/sharded_execution_test.cpp.
+// Session opening shares the compiled chip structure and the copy-on-write
+// weight image (see loihi::Chip), so no per-session chip deep-copy happens.
 
 #include <memory>
 
@@ -31,11 +32,5 @@ public:
 /// observable topology; a conv stack inside `net` stays frozen in the
 /// compiled chip but is not re-described in the spec.
 std::shared_ptr<const CompiledModel> adopt(const core::EmstdpNetwork& net);
-
-/// Wraps a prototype network as a single-chip compiled model without the
-/// spill check (the degenerate target of ShardedLoihiBackend and the tail
-/// of LoihiSimBackend::compile).
-std::shared_ptr<const CompiledModel> make_single_chip_model(
-    ModelSpec spec, core::EmstdpNetwork proto);
 
 }  // namespace neuro::runtime

@@ -4,15 +4,6 @@
 
 namespace neuro::runtime {
 
-const char* to_string(BackendKind kind) {
-    switch (kind) {
-        case BackendKind::LoihiSim: return "loihi-sim";
-        case BackendKind::Reference: return "reference";
-        case BackendKind::ShardedLoihiSim: return "sharded-loihi-sim";
-    }
-    return "?";
-}
-
 ModelSpec& ModelSpec::input(std::size_t c, std::size_t h, std::size_t w) {
     in_c = c;
     in_h = h;

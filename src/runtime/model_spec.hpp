@@ -25,16 +25,12 @@ namespace neuro::runtime {
 /// Which substrate executes the model. Every backend implements the same
 /// Session contract; see backend.hpp for what conformance requires.
 enum class BackendKind {
-    LoihiSim,   ///< bit-faithful chip simulator (loihi::Chip, integer datapath)
+    /// Bit-faithful chip simulator (integer datapath): one loihi::Chip, or
+    /// several with inter-chip spike routing (loihi/router.hpp) when
+    /// ModelSpec::shards asks for them or the model needs them.
+    LoihiSim,
     Reference,  ///< full-precision float EMSTDP (reference::RefEmstdp)
-    /// Multi-chip sharded simulator: the model partitions across several
-    /// Chip instances with inter-chip spike routing (loihi/router.hpp).
-    /// Compiling a spec that fits one chip degenerates to the LoihiSim
-    /// path; LoihiSim compiles of over-budget models spill here.
-    ShardedLoihiSim,
 };
-
-const char* to_string(BackendKind kind);
 
 struct ModelSpec {
     /// Input geometry (CHW). Rate vectors are 1 x 1 x N.
@@ -48,12 +44,13 @@ struct ModelSpec {
     core::EmstdpOptions options{};
     /// Optional pretrained frozen conv stack (owned; captured by with_conv).
     std::shared_ptr<const snn::ConvertedStack> conv;
-    /// Chip-simulator shard count: 0 plans automatically (1 chip when the
-    /// model fits, the minimum that fits otherwise); >= 2 forces exactly
-    /// that many shards (an error when the network cannot spread that far);
-    /// 1 pins the single-chip path — on LoihiSim even for over-budget
-    /// models (the historical permissive simulation). Ignored by the
-    /// Reference backend.
+    /// Chip count on the LoihiSim backend, the only way to ask for chips.
+    /// 0 plans automatically: 1 chip when the model fits, otherwise the
+    /// fewest chips that fit (one permissive chip when a single population
+    /// exceeds a chip). >= 2 forces exactly that many shards, an error when
+    /// the network cannot spread that far. 1 pins one chip even for
+    /// over-budget models (the historical permissive simulation). Ignored by
+    /// the Reference backend.
     std::size_t shards = 0;
 
     // ---- builder-style setters (each returns *this for chaining) -----------
@@ -63,7 +60,7 @@ struct ModelSpec {
     ModelSpec& with_options(const core::EmstdpOptions& opt);
     /// Copies the stack; the spec (and every model compiled from it) owns it.
     ModelSpec& with_conv(const snn::ConvertedStack& stack);
-    /// Requests multi-chip sharded execution (see BackendKind::ShardedLoihiSim).
+    /// Sets the chip count (see `shards`).
     ModelSpec& with_shards(std::size_t n);
 
     std::size_t input_size() const { return in_c * in_h * in_w; }

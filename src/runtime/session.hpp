@@ -91,8 +91,8 @@ public:
     virtual void seed_noise(std::uint64_t seed) = 0;
 
     // ---- optional capabilities ---------------------------------------------
-    /// Activity counters for the energy model; null when the backend does
-    /// not model events (Reference).
+    /// Activity counters for the energy model as of this call (valid until
+    /// the next); null when the backend does not model events (Reference).
     virtual const loihi::ActivityTotals* activity() const { return nullptr; }
     /// Cumulative kernel phase-timer sinks (sweep/accumulation wall time,
     /// obs/timer.hpp — advance only while obs::set_timing(true)); null when
@@ -103,11 +103,11 @@ public:
         return nullptr;
     }
     /// Escape hatch to the underlying simulated network for probing tools
-    /// that predate the runtime API; null on non-chip backends.
+    /// that predate the runtime API; null on non-chip backends and on
+    /// sessions that run on several chips.
     virtual core::EmstdpNetwork* native_network() { return nullptr; }
-    /// Escape hatch to the multi-chip network of a sharded session; null
-    /// everywhere else (a 1-shard compile degenerates to the single-chip
-    /// path and exposes native_network instead).
+    /// The multi-chip counterpart: non-null exactly when a LoihiSim model
+    /// compiled to two or more chips (ModelSpec::shards).
     virtual core::ShardedEmstdpNetwork* native_sharded_network() {
         return nullptr;
     }

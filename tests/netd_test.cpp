@@ -450,44 +450,68 @@ TEST(Netd, SingleModelDaemonRefusesAModelTheRouterDoesNotServe) {
 }
 
 TEST(Netd, RegistryPinAndRollbackRoundTrip) {
-    Harness h;
-    const auto dir = std::filesystem::temp_directory_path() /
-                     ("neuro_netd_reg_" + std::to_string(::getpid()));
-    std::filesystem::remove_all(dir);
-    h.registry = std::make_shared<online::ModelRegistry>(dir.string());
-    h.registry->record(1, 0.81, forced_snapshot(*h.model, 1));
-    h.registry->record(2, 0.86, forced_snapshot(*h.model, 2));
-    h.start();
+    // Run once bare and once with a flight recorder, which must then say
+    // why the default model's weights changed.
+    for (const bool recorded : {false, true}) {
+        SCOPED_TRACE(recorded ? "with recorder" : "without recorder");
+        obs::FlightRecorder rec(64);
+        Harness h;
+        if (recorded) h.recorder = &rec;
+        const auto dir = std::filesystem::temp_directory_path() /
+                         ("neuro_netd_reg_" + std::to_string(::getpid()));
+        std::filesystem::remove_all(dir);
+        h.registry = std::make_shared<online::ModelRegistry>(dir.string());
+        h.registry->record(1, 0.81, forced_snapshot(*h.model, 1));
+        h.registry->record(2, 0.86, forced_snapshot(*h.model, 2));
+        h.start();
 
-    const auto img = make_images(1).samples[0].image;
-    auto client = h.connect();
+        const auto img = make_images(1).samples[0].image;
+        auto client = h.connect();
 
-    EXPECT_EQ(h.control("load latest"), "ok pinned 2 published 1");
-    // Worker sessions adopt the published image at their next batch
-    // boundary; the forced output layer then predicts the winner.
-    EXPECT_TRUE(eventually([&] {
-        static std::uint64_t id = 1000;
-        return client.call(make_frame(img, id++)).label == 2u;
-    }));
+        EXPECT_EQ(h.control("load latest"), "ok pinned 2 published 1");
+        // Worker sessions adopt the published image at their next batch
+        // boundary; the forced output layer then predicts the winner.
+        EXPECT_TRUE(eventually([&] {
+            static std::uint64_t id = 1000;
+            return client.call(make_frame(img, id++)).label == 2u;
+        }));
 
-    EXPECT_EQ(h.control("rollback"), "ok pinned 1 published 2");
-    EXPECT_TRUE(eventually([&] {
-        static std::uint64_t id = 2000;
-        return client.call(make_frame(img, id++)).label == 1u;
-    }));
+        EXPECT_EQ(h.control("rollback"), "ok pinned 1 published 2");
+        EXPECT_TRUE(eventually([&] {
+            static std::uint64_t id = 2000;
+            return client.call(make_frame(img, id++)).label == 1u;
+        }));
 
-    EXPECT_EQ(h.control("rollback"), "err nothing to roll back to");
-    EXPECT_EQ(h.control("load 9"), "err unknown version: 9");
-    EXPECT_EQ(h.control("version"), "ok 2");
-    EXPECT_EQ(h.control("unload"), "ok unloaded");
-    EXPECT_EQ(h.control("version"), "ok 3");
+        EXPECT_EQ(h.control("rollback"), "err nothing to roll back to");
+        EXPECT_EQ(h.control("load 9"), "err unknown version: 9");
+        EXPECT_EQ(h.control("version"), "ok 2");
+        EXPECT_EQ(h.control("unload"), "ok unloaded");
+        EXPECT_EQ(h.control("version"), "ok 3");
 
-    const std::string versions = h.control("versions");
-    EXPECT_NE(versions.find("\"version\":1"), std::string::npos);
-    EXPECT_NE(versions.find("\"version\":2"), std::string::npos);
+        const std::string versions = h.control("versions");
+        EXPECT_NE(versions.find("\"version\":1"), std::string::npos);
+        EXPECT_NE(versions.find("\"version\":2"), std::string::npos);
 
-    h.stop();
-    std::filesystem::remove_all(dir);
+        if (recorded) {
+            // One WeightPublish per publish, on the default entry (""): the
+            // registry version now serving and its accuracy in ppm.
+            std::vector<obs::Event> publishes;
+            for (const auto& e : rec.snapshot())
+                if (e.kind == obs::EventKind::WeightPublish)
+                    publishes.push_back(e);
+            ASSERT_EQ(publishes.size(), 3u);
+            const std::uint64_t want_a[] = {2, 1, 0};
+            const std::uint64_t want_b[] = {860'000, 810'000, 0};
+            for (std::size_t i = 0; i < publishes.size(); ++i) {
+                EXPECT_EQ(publishes[i].detail_str(), "");
+                EXPECT_EQ(publishes[i].a, want_a[i]);
+                EXPECT_EQ(publishes[i].b, want_b[i]);
+            }
+        }
+
+        h.stop();
+        std::filesystem::remove_all(dir);
+    }
 }
 
 // A registry version the model cannot load answers `err` and publishes

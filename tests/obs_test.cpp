@@ -285,30 +285,47 @@ TEST(FlightRecorder, EventsJsonCarriesKindsDetailsAndSpans) {
 }
 
 TEST(FlightRecorder, ConcurrentWritersNeverBlockOrTearTheReader) {
-    obs::FlightRecorder rec(64);
-    constexpr int kWriters = 4;
-    constexpr std::uint64_t kPerWriter = 5'000;
-    std::atomic<bool> stop{false};
-    std::thread reader([&] {
-        while (!stop.load(std::memory_order_acquire)) {
-            // Every surviving event must be internally consistent: the
-            // a-word always equals the t_us stamp in this workload, so a
-            // torn slot would be visible immediately.
-            for (const auto& e : rec.snapshot())
-                ASSERT_EQ(e.a, e.t_us);
+    struct Input {
+        std::size_t capacity;
+        int writers;
+        int rounds;
+    };
+    // The second input laps the ring every few events, so writers of
+    // different laps race for one slot: an unclaimed write there could tear
+    // an event or bury a newer one under an older one. Each round is a few
+    // milliseconds; the rounds give the race many chances.
+    for (const Input in : {Input{64, 4, 1}, Input{8, 16, 200}}) {
+        SCOPED_TRACE("capacity " + std::to_string(in.capacity) + ", " +
+                     std::to_string(in.writers) + " writers");
+        for (int round = 0; round < in.rounds; ++round) {
+            obs::FlightRecorder rec(in.capacity);
+            constexpr std::uint64_t kPerWriter = 5'000;
+            std::atomic<bool> stop{false};
+            std::thread reader([&] {
+                while (!stop.load(std::memory_order_acquire)) {
+                    // Every surviving event must be internally consistent:
+                    // the a-word always equals the t_us stamp in this
+                    // workload, so a torn slot would be visible immediately.
+                    for (const auto& e : rec.snapshot())
+                        ASSERT_EQ(e.a, e.t_us);
+                }
+            });
+            std::vector<std::thread> writers;
+            for (int w = 0; w < in.writers; ++w)
+                writers.emplace_back([&rec, w] {
+                    for (std::uint64_t i = 0; i < kPerWriter; ++i) {
+                        const std::uint64_t stamp = w * kPerWriter + i;
+                        rec.record(obs::EventKind::ConnError, stamp, "fd",
+                                   stamp, 0);
+                    }
+                });
+            for (auto& t : writers) t.join();
+            stop.store(true, std::memory_order_release);
+            reader.join();
+            ASSERT_EQ(rec.total_recorded(), in.writers * kPerWriter);
+            // Quiescent: every slot holds one of the last capacity() tickets.
+            ASSERT_EQ(rec.snapshot().size(), rec.capacity());
+            for (const auto& e : rec.snapshot()) ASSERT_EQ(e.a, e.t_us);
         }
-    });
-    std::vector<std::thread> writers;
-    for (int w = 0; w < kWriters; ++w)
-        writers.emplace_back([&rec, w] {
-            for (std::uint64_t i = 0; i < kPerWriter; ++i) {
-                const std::uint64_t stamp = w * kPerWriter + i;
-                rec.record(obs::EventKind::ConnError, stamp, "fd", stamp, 0);
-            }
-        });
-    for (auto& t : writers) t.join();
-    stop.store(true, std::memory_order_release);
-    reader.join();
-    EXPECT_EQ(rec.total_recorded(), kWriters * kPerWriter);
-    EXPECT_EQ(rec.snapshot().size(), rec.capacity());
+    }
 }

@@ -1,7 +1,8 @@
 // Multi-chip sharded execution (loihi/router.hpp, core/sharded_network.hpp,
-// runtime/sharded_backend.hpp): bit-identity with the single chip where the
-// contract promises it, determinism everywhere, routing/learning across the
-// cut, transparent spill, and session independence under concurrency.
+// the LoihiSim backend's ModelSpec::shards): bit-identity with the single
+// chip where the contract promises it, determinism everywhere,
+// routing/learning across the cut, transparent spill, and session
+// independence under concurrency.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,6 @@
 #include "data/dataset.hpp"
 #include "runtime/backend.hpp"
 #include "runtime/compiled_model.hpp"
-#include "runtime/sharded_backend.hpp"
 #include "runtime/weights.hpp"
 
 using namespace neuro;
@@ -99,7 +99,7 @@ TEST(ShardedExecution, SingleShardBitIdenticalToSingleChip) {
         EXPECT_EQ(reference.output_counts(s.image), sharded.output_counts(s.image));
         EXPECT_EQ(reference.predict(s.image), sharded.predict(s.image));
     }
-    expect_activity_equal(reference.chip().activity(), sharded.activity());
+    expect_activity_equal(reference.chip().activity(), sharded.chip().activity());
 }
 
 // ---- multi-shard: the forward pass consumes no RNG, so inference must be
@@ -120,7 +120,7 @@ TEST(ShardedExecution, MultiShardInferenceBitIdenticalToSingleChip) {
                       sharded.output_counts(s.image));
             EXPECT_EQ(reference.predict(s.image), sharded.predict(s.image));
         }
-        EXPECT_GT(sharded.chips().routed_spikes(), 0u);
+        EXPECT_GT(sharded.chip().routed_spikes(), 0u);
     }
 }
 
@@ -151,7 +151,7 @@ TEST(ShardedExecution, MultiShardTrainingBitIdenticalWithoutStochasticRounding) 
             EXPECT_EQ(probe_counts[i], sharded.output_counts(probe.samples[i].image));
         // The energy model's inputs survive sharding: every counter equals
         // the single chip's when no RNG stream diverges.
-        expect_activity_equal(reference_activity, sharded.activity());
+        expect_activity_equal(reference_activity, sharded.chip().activity());
     }
 }
 
@@ -305,12 +305,12 @@ TEST(ShardedExecution, CrossShardDelaysAndResetsMatchSingleChipStepForStep) {
 
 // ---- runtime surface -------------------------------------------------------
 
-TEST(ShardedExecution, ShardedBackendKeepsSessionApi) {
+TEST(ShardedExecution, ShardedModelKeepsSessionApi) {
     const auto train = digits(20);
     const auto probe = digits(8, 31);
     const auto model = runtime::CompiledModel::compile(
-        sharded_spec(2), runtime::BackendKind::ShardedLoihiSim);
-    EXPECT_EQ(model->backend(), runtime::BackendKind::ShardedLoihiSim);
+        sharded_spec(2), runtime::BackendKind::LoihiSim);
+    EXPECT_EQ(model->backend(), runtime::BackendKind::LoihiSim);
 
     auto session = model->open_session();
     ASSERT_NE(session->native_sharded_network(), nullptr);
@@ -342,8 +342,8 @@ TEST(ShardedExecution, ShardedBackendKeepsSessionApi) {
 
 TEST(ShardedExecution, AutoPlanOnSmallModelDegeneratesToSingleChipPath) {
     const auto model = runtime::CompiledModel::compile(
-        sharded_spec(0), runtime::BackendKind::ShardedLoihiSim);
-    EXPECT_EQ(model->backend(), runtime::BackendKind::ShardedLoihiSim);
+        sharded_spec(0), runtime::BackendKind::LoihiSim);
+    EXPECT_EQ(model->backend(), runtime::BackendKind::LoihiSim);
     auto session = model->open_session();
     // Degenerate plan: the session IS the single-chip path.
     EXPECT_NE(session->native_network(), nullptr);
@@ -365,18 +365,26 @@ TEST(ShardedExecution, LoihiSimTransparentlySpillsOverBudgetModels) {
         .with_options(small_opt());
     const auto model =
         runtime::CompiledModel::compile(spec, runtime::BackendKind::LoihiSim);
-    EXPECT_EQ(model->backend(), runtime::BackendKind::ShardedLoihiSim);
+    EXPECT_EQ(model->backend(), runtime::BackendKind::LoihiSim);
     auto session = model->open_session();
     auto* net = session->native_sharded_network();
     ASSERT_NE(net, nullptr);
     EXPECT_GE(net->num_shards(), 2u);
     for (const auto cores : net->plan().cores_per_shard)
         EXPECT_LE(cores, loihi::ChipLimits{}.num_cores);
+
+    // shards == 1 pins the permissive single chip, over budget or not.
+    const auto pinned = runtime::CompiledModel::compile(
+        spec.with_shards(1), runtime::BackendKind::LoihiSim);
+    auto one_chip = pinned->open_session();
+    ASSERT_NE(one_chip->native_network(), nullptr);
+    EXPECT_EQ(one_chip->native_sharded_network(), nullptr);
+    EXPECT_FALSE(one_chip->native_network()->chip().mapping().feasible);
 }
 
-TEST(ShardedExecution, UnshardablePopulationErrorsCleanlyOnShardedBackend) {
+TEST(ShardedExecution, UnshardablePopulationErrorsCleanlyWhenShardsAreForced) {
     // One dense layer of 2000 neurons at 10/core needs 200 cores — more
-    // than a chip, and populations cannot split. The sharded backend must
+    // than a chip, and populations cannot split. A forced shard count must
     // reject it; the permissive single-chip simulator still accepts it.
     runtime::ModelSpec spec;
     spec.input(1, kSide, kSide)
@@ -384,7 +392,7 @@ TEST(ShardedExecution, UnshardablePopulationErrorsCleanlyOnShardedBackend) {
         .output_classes(kClasses)
         .with_options(small_opt());
     EXPECT_THROW(runtime::CompiledModel::compile(
-                     spec.with_shards(2), runtime::BackendKind::ShardedLoihiSim),
+                     spec.with_shards(2), runtime::BackendKind::LoihiSim),
                  std::invalid_argument);
     spec.with_shards(0);
     EXPECT_NO_THROW(runtime::CompiledModel::compile(
@@ -404,12 +412,12 @@ TEST(ShardedExecution, SpikeInsertionModeIsRejected) {
 TEST(ShardedExecution, ShardedSessionsShareStructureAndStayIndependent) {
     const auto train = digits(6);
     const auto model = runtime::CompiledModel::compile(
-        sharded_spec(2), runtime::BackendKind::ShardedLoihiSim);
+        sharded_spec(2), runtime::BackendKind::LoihiSim);
 
     auto a = model->open_session();
     auto b = model->open_session();
-    auto& chips_a = a->native_sharded_network()->chips();
-    auto& chips_b = b->native_sharded_network()->chips();
+    auto& chips_a = a->native_sharded_network()->chip();
+    auto& chips_b = b->native_sharded_network()->chip();
     for (std::size_t s = 0; s < chips_a.num_shards(); ++s) {
         EXPECT_TRUE(chips_a.shard(s).shares_structure_with(chips_b.shard(s)));
         EXPECT_TRUE(chips_a.shard(s).shares_weights_with(chips_b.shard(s)));
@@ -428,7 +436,7 @@ TEST(ShardedExecution, ConcurrentShardedSessionsMatchSerial) {
     const auto train = digits(8);
     const auto probe = digits(6, 23);
     const auto model = runtime::CompiledModel::compile(
-        sharded_spec(2), runtime::BackendKind::ShardedLoihiSim);
+        sharded_spec(2), runtime::BackendKind::LoihiSim);
 
     // Serial ground truth.
     auto serial = model->open_session();
