@@ -7,6 +7,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
@@ -110,8 +111,8 @@ std::string entry_json(const serve::ModelEntryStats& s) {
         .str();
 }
 
-/// The single-model constructor's guard: the model the legacy control
-/// commands publish to must be the one the router's workers serve.
+/// The same-model guard: the caller's model must be the one the router's
+/// workers serve.
 std::shared_ptr<serve::ModelRouter> require_default_model(
     std::shared_ptr<serve::ModelRouter> router,
     const std::shared_ptr<const runtime::CompiledModel>& model) {
@@ -135,11 +136,8 @@ bool is_version_token(const std::string& tok) {
 }  // namespace
 
 Daemon::Daemon(std::shared_ptr<serve::ModelRouter> router,
-               DaemonOptions options,
-               std::shared_ptr<online::ModelRegistry> registry)
-    : router_(std::move(router)),
-      options_(std::move(options)),
-      registry_(std::move(registry)) {
+               DaemonOptions options)
+    : router_(std::move(router)), options_(std::move(options)) {
     if (!router_) throw std::invalid_argument("netd: null router");
     if (router_->options().backpressure != serve::Backpressure::Shed)
         throw std::invalid_argument(
@@ -151,10 +149,9 @@ Daemon::Daemon(std::shared_ptr<serve::ModelRouter> router,
 
 Daemon::Daemon(std::shared_ptr<serve::ModelRouter> router,
                const std::shared_ptr<const runtime::CompiledModel>& model,
-               DaemonOptions options,
-               std::shared_ptr<online::ModelRegistry> registry)
+               DaemonOptions options)
     : Daemon(require_default_model(std::move(router), model),
-             std::move(options), std::move(registry)) {}
+             std::move(options)) {}
 
 Daemon::~Daemon() {
     // Worker completion callbacks hold ConnPtrs plus `this` (dirty list,
@@ -549,6 +546,13 @@ std::string Daemon::run_control_command(const std::string& line) {
     std::istringstream in(line);
     std::string cmd, arg, arg2, arg3;
     in >> cmd >> arg >> arg2 >> arg3;
+    // The legacy default-model verbs' reply names the weight-channel id.
+    const auto pin_default = [this](std::uint64_t version) {
+        router_->pin("", version);
+        return "ok pinned " + std::to_string(version) + " published " +
+               std::to_string(router_->default_model()->published_version());
+    };
+    const bool no_registry = router_->options().registry_dir.empty();
 
     try {
         if (cmd == "ping") return "ok pong";
@@ -615,14 +619,13 @@ std::string Daemon::run_control_command(const std::string& line) {
             }
             // Legacy form: back to the compiled-in initial weights;
             // sessions pick the image up at their next refresh().
-            publish_default(0);
+            router_->pin("", 0);
             return "ok unloaded";
         }
         if (cmd == "versions") {
-            if (!registry_) return "err no registry";
-            registry_->reload();
+            if (no_registry) return "err no registry";
             std::string out = "[";
-            for (const auto& e : registry_->entries()) {
+            for (const auto& e : router_->versions("")) {
                 if (out.size() > 1) out += ",";
                 out += common::JsonObject()
                            .add("version", static_cast<std::uint64_t>(e.version))
@@ -651,14 +654,13 @@ std::string Daemon::run_control_command(const std::string& line) {
                 const std::uint64_t v = router_->pin(arg, version);
                 return "ok pinned " + arg + " " + std::to_string(v);
             }
-            if (!registry_) return "err no registry";
+            if (no_registry) return "err no registry";
             if (arg.empty()) return "err usage: " + cmd + " <version>|latest";
-            registry_->reload();
+            const auto entries = router_->versions("");
             std::uint64_t version = 0;
             if (arg == "latest") {
-                const auto last = registry_->last_good();
-                if (!last) return "err registry is empty";
-                version = last->version;
+                if (entries.empty()) return "err registry is empty";
+                version = entries.back().version;
             } else {
                 try {
                     version = std::stoull(arg);
@@ -666,27 +668,25 @@ std::string Daemon::run_control_command(const std::string& line) {
                     return "err bad version: " + arg;
                 }
             }
-            if (!registry_->has(version))
+            if (std::none_of(entries.begin(), entries.end(),
+                             [&](const auto& e) { return e.version == version; }))
                 return "err unknown version: " + std::to_string(version);
-            return "ok pinned " + std::to_string(version) + " published " +
-                   std::to_string(publish_default(version));
+            return pin_default(version);
         }
         if (cmd == "rollback") {
-            if (!registry_) return "err no registry";
-            registry_->reload();
-            const auto& entries = registry_->entries();
-            // Step back one accepted version from the current pin (or from
-            // the newest entry when nothing was explicitly pinned).
+            if (no_registry) return "err no registry";
+            const auto entries = router_->versions("");
+            const std::uint64_t serving = router_->model_stats("").base_version;
+            // Step back one accepted version from the one serving (or from
+            // the newest entry when the compiled weights serve).
             std::size_t idx = entries.size();
             for (std::size_t i = 0; i < entries.size(); ++i)
-                if (entries[i].version == pinned_version_) idx = i;
+                if (entries[i].version == serving) idx = i;
             if (idx == entries.size() && entries.size() >= 2)
                 idx = entries.size() - 1;
             if (idx == 0 || idx == entries.size())
                 return "err nothing to roll back to";
-            const std::uint64_t version = entries[idx - 1].version;
-            return "ok pinned " + std::to_string(version) + " published " +
-                   std::to_string(publish_default(version));
+            return pin_default(entries[idx - 1].version);
         }
     } catch (const std::exception& e) {
         return std::string("err ") + e.what();
@@ -729,7 +729,7 @@ std::string Daemon::stats_json() const {
             .add("draining", d.draining)
             .add("published_version",
                  router_->default_model()->published_version())
-            .add("pinned_version", pinned_version_)
+            .add("pinned_version", router_->model_stats("").base_version)
             .add("resident_bytes",
                  static_cast<std::uint64_t>(router_->resident_bytes()))
             .str();
@@ -748,22 +748,6 @@ std::string Daemon::models_json() const {
         out += entry_json(s);
     }
     return out + "]";
-}
-
-std::uint64_t Daemon::publish_default(std::uint64_t version) {
-    const runtime::CompiledModel& model = *router_->default_model();
-    double accuracy = 0.0;
-    if (version != 0)
-        for (const auto& e : registry_->entries())
-            if (e.version == version) accuracy = e.accuracy;
-    const std::uint64_t published =
-        model.publish_weights(version == 0 ? model.initial_weights()
-                                           : registry_->load(version));
-    pinned_version_ = version;
-    if (obs::FlightRecorder* rec = router_->options().recorder)
-        rec->record(obs::EventKind::WeightPublish, router_->clock()->now_us(),
-                    "", version, obs::accuracy_ppm(accuracy));
-    return published;
 }
 
 void Daemon::record_conn_error(int fd, const char* what) {

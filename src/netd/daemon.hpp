@@ -43,13 +43,14 @@
 // The admin control socket (dinit idiom: line commands over a Unix
 // socket) shares the same loop: `stats` (ServerStats + per-connection
 // counters as JSON), `metrics` (the same counters as Prometheus text),
-// default-model weight load/unload and pin/rollback through
-// online::ModelRegistry, `drain`, `shutdown` — plus the fleet
+// the default-model verbs `versions`, `load|pin <version>|latest`,
+// `rollback` and bare `unload`, `drain`, `shutdown` — plus the fleet
 // commands `models`, `stats <name>`, `load <name>`, `unload <name>`,
 // `pin <name> <version>` and `canary <name> <version> <pct>`. The two
 // grammars share verbs without ambiguity: model names must start with a
 // letter, so a numeric (or "latest") first argument always means the
-// legacy default-model form. See the control command table in
+// legacy default-model form, which pins the router's default entry: the
+// daemon keeps no registry or pin state. See the control command table in
 // docs/ARCHITECTURE.md §11–12.
 
 #include <atomic>
@@ -64,7 +65,6 @@
 
 #include "netd/event_loop.hpp"
 #include "netd/protocol.hpp"
-#include "online/registry.hpp"
 #include "runtime/compiled_model.hpp"
 #include "serve/router.hpp"
 
@@ -120,25 +120,18 @@ class Daemon {
 public:
     /// Router-native form: `router` is the serving fleet the wire drives.
     /// It must use Backpressure::Shed (throws otherwise — Block would park
-    /// the event loop on a full queue). `registry` is the DEFAULT model's
-    /// registry for the legacy load/pin/rollback commands; optional —
-    /// without it those commands answer `err no registry` (fleet entries
-    /// carry their own registries via RouterOptions::fleet_dir). The
-    /// daemon does not start() or shutdown() the router: the owner
-    /// controls the serving lifecycle (tests exploit this to pin deadline
-    /// behaviour on a ManualClock before workers run).
-    Daemon(std::shared_ptr<serve::ModelRouter> router, DaemonOptions options,
-           std::shared_ptr<online::ModelRegistry> registry = nullptr);
+    /// the event loop on a full queue). The legacy commands answer `err no
+    /// registry` without a RouterOptions::registry_dir. The daemon does
+    /// not start() or shutdown() the router: the owner controls the
+    /// serving lifecycle (tests exploit this to pin deadline behaviour on a
+    /// ManualClock before workers run).
+    Daemon(std::shared_ptr<serve::ModelRouter> router, DaemonOptions options);
 
-    /// Single-model form: `model` names the model the legacy control
-    /// commands (version/load/unload/pin/rollback) publish weights to. It
-    /// must be `router`'s default model — the one its workers serve —
-    /// or this throws std::invalid_argument. Otherwise identical to the
-    /// router-native form.
+    /// Same-model guard: the router-native form, but throws
+    /// std::invalid_argument unless `model` is `router`'s default model.
     Daemon(std::shared_ptr<serve::ModelRouter> router,
            const std::shared_ptr<const runtime::CompiledModel>& model,
-           DaemonOptions options,
-           std::shared_ptr<online::ModelRegistry> registry = nullptr);
+           DaemonOptions options);
     ~Daemon();
 
     Daemon(const Daemon&) = delete;
@@ -208,11 +201,6 @@ private:
     void collect_metrics(std::string& out) const;
     /// Records a ConnError flight event when the router has a recorder.
     void record_conn_error(int fd, const char* what);
-    /// Publishes registry `version` to the default model (0 = its compiled
-    /// initial weights), makes it the anchor `rollback` steps back from, and
-    /// records a WeightPublish flight event (detail "", a = version, b = the
-    /// version's registry accuracy in ppm). Returns the published id.
-    std::uint64_t publish_default(std::uint64_t version);
 
     // ---- cross-thread delivery (worker callbacks) ----
     void deliver(const ConnPtr& conn, std::vector<std::uint8_t> bytes);
@@ -234,7 +222,6 @@ private:
 
     std::shared_ptr<serve::ModelRouter> router_;
     DaemonOptions options_;
-    std::shared_ptr<online::ModelRegistry> registry_;
 
     EventLoop loop_;
     std::vector<std::pair<int, bool>> listeners_;  ///< fd, is_control
@@ -251,9 +238,6 @@ private:
     std::chrono::steady_clock::time_point drain_started_{};
 
     std::atomic<std::uint64_t> inflight_{0};
-    /// Registry version most recently published via the control socket
-    /// (0 = none); the anchor `rollback` steps back from. Loop-thread-owned.
-    std::uint64_t pinned_version_ = 0;
 
     // Loop-thread-owned aggregates, mirrored into atomics for stats().
     struct Totals {

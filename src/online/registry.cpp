@@ -58,11 +58,13 @@ std::string ModelRegistry::snapshot_path(std::uint64_t version) const {
 void ModelRegistry::record(std::uint64_t version, double accuracy,
                           const runtime::WeightSnapshot& snap) {
     runtime::save_snapshot(snapshot_path(version), snap);
-    entries_.push_back({version, accuracy});
-    write_manifest();
+    // Memory gains the entry only once a manifest holding it is on disk.
+    const RegistryEntry entry{version, accuracy};
+    write_manifest(entry);
+    entries_.push_back(entry);
 }
 
-void ModelRegistry::write_manifest() const {
+void ModelRegistry::write_manifest(const RegistryEntry& appended) const {
     const fs::path manifest = fs::path(dir_) / "MANIFEST";
     const fs::path tmp = fs::path(dir_) / "MANIFEST.tmp";
     {
@@ -73,6 +75,7 @@ void ModelRegistry::write_manifest() const {
         // max_digits10 so the accuracy round-trips exactly across restarts.
         out << std::setprecision(std::numeric_limits<double>::max_digits10);
         for (const auto& e : entries_) out << e.version << " " << e.accuracy << "\n";
+        out << appended.version << " " << appended.accuracy << "\n";
         if (!out.flush())
             throw std::runtime_error("ModelRegistry: write failed for " +
                                      tmp.string());

@@ -63,7 +63,8 @@ public:
     const std::string& dir() const { return dir_; }
 
 private:
-    void write_manifest() const;
+    /// Writes MANIFEST as entries_ followed by `appended`.
+    void write_manifest(const RegistryEntry& appended) const;
 
     std::string dir_;
     std::vector<RegistryEntry> entries_;

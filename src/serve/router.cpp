@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "online/registry.hpp"
 #include "runtime/session.hpp"
 
 namespace neuro::serve {
@@ -102,6 +101,10 @@ ModelRouter::ModelRouter(
     def->loads = 1;
     resident_bytes_ = def->base_bytes;
     entries_.emplace("", std::move(def));
+    // Boot on the last good version, as a fleet entry's load does.
+    if (!options_.registry_dir.empty())
+        if (const auto last = open_registry("").last_good())
+            pin("", last->version);
 }
 
 ModelRouter::~ModelRouter() { shutdown(); }
@@ -283,18 +286,19 @@ ModelRouter::Entry& ModelRouter::find_or_register_locked(
     return ref;
 }
 
-std::string ModelRouter::registry_dir_locked(const Entry& e) const {
-    if (e.name.empty()) return options_.registry_dir;
-    if (options_.fleet_dir.empty()) return "";
-    return (std::filesystem::path(options_.fleet_dir) / e.name).string();
+online::ModelRegistry ModelRouter::open_registry(
+    const std::string& name) const {
+    const std::string& root =
+        name.empty() ? options_.registry_dir : options_.fleet_dir;
+    if (root.empty())
+        throw std::runtime_error("ModelRouter: model '" + name +
+                                 "' has no registry");
+    // fleet_dir/<name>, or registry_dir itself for the default entry.
+    return online::ModelRegistry((std::filesystem::path(root) / name).string());
 }
 
 void ModelRouter::load_locked(Entry& e, std::uint64_t version) {
-    const std::string dir = registry_dir_locked(e);
-    if (dir.empty())
-        throw std::runtime_error("ModelRouter: model '" + e.name +
-                                 "' has no registry");
-    online::ModelRegistry reg(dir);
+    const online::ModelRegistry reg = open_registry(e.name);
     if (version == 0) {
         const auto last = reg.last_good();
         if (!last)
@@ -315,14 +319,38 @@ void ModelRouter::load_locked(Entry& e, std::uint64_t version) {
                                   e.name, e.base_bytes, version);
     // A surviving canary configuration (e.g. after an LRU evict) comes
     // back with the entry, so the split an operator set keeps holding.
-    if (e.canary_version != 0 && e.canary_pct != 0) {
-        const auto csnap = reg.load(e.canary_version);
-        e.canary_model = default_model_->with_weights(csnap);
-        e.canary_sessions = e.canary_model->open_sessions(options_.workers);
-        e.canary_bytes = snapshot_bytes(csnap);
-        resident_bytes_ += e.canary_bytes;
-    }
+    if (e.canary_version != 0 && e.canary_pct != 0)
+        open_canary_arm_locked(e, reg, e.canary_version);
     evict_locked(&e);
+}
+
+void ModelRouter::open_canary_arm_locked(Entry& e,
+                                         const online::ModelRegistry& reg,
+                                         std::uint64_t version) {
+    const auto snap = reg.load(version);
+    e.canary_model = default_model_->with_weights(snap);
+    e.canary_sessions = e.canary_model->open_sessions(options_.workers);
+    e.canary_bytes = snapshot_bytes(snap);
+    resident_bytes_ += e.canary_bytes;
+}
+
+void ModelRouter::publish_locked(Entry& e, std::uint64_t version) {
+    // Sessions adopt the image at their next batch boundary; in-flight
+    // requests finish on the version they started with.
+    double accuracy = 0.0;
+    if (version == 0) {
+        e.model->publish_weights(e.model->initial_weights());
+    } else {
+        const online::ModelRegistry reg = open_registry(e.name);
+        e.model->publish_weights(reg.load(version));
+        for (const auto& r : reg.entries())
+            if (r.version == version) accuracy = r.accuracy;
+    }
+    e.base_version = version;
+    if (options_.recorder)
+        options_.recorder->record(obs::EventKind::WeightPublish,
+                                  clock_->now_us(), e.name, version,
+                                  obs::accuracy_ppm(accuracy));
 }
 
 void ModelRouter::drop_canary_arm_locked(Entry& e) {
@@ -607,27 +635,21 @@ std::uint64_t ModelRouter::pin(const std::string& name,
                                std::uint64_t version) {
     std::lock_guard<std::mutex> lk(entries_m_);
     Entry& e = find_or_register_locked(name);
-    if (version == 0) {
-        if (!e.model) load_locked(e, 0);
-    } else if (e.model) {
-        // Resident: hand the pool the pinned weights through the COW
-        // publication channel — sessions adopt at their next batch
-        // boundary, in-flight requests finish on the version they started.
-        const std::string dir = registry_dir_locked(e);
-        if (dir.empty())
-            throw std::runtime_error("ModelRouter: model '" + e.name +
-                                     "' has no registry");
-        online::ModelRegistry reg(dir);
-        e.model->publish_weights(reg.load(version));
-        e.base_version = version;
-        if (options_.recorder)
-            options_.recorder->record(obs::EventKind::WeightPublish,
-                                      clock_->now_us(), e.name, version, 0);
-    } else {
+    // Version 0 publishes only on the default entry (its compiled
+    // weights); a resident fleet entry keeps what it serves.
+    if (!e.model)
         load_locked(e, version);
-    }
+    else if (version != 0 || e.name.empty())
+        publish_locked(e, version);
     e.pinned = true;
     return e.base_version;
+}
+
+std::vector<online::RegistryEntry> ModelRouter::versions(
+    const std::string& name) {
+    std::lock_guard<std::mutex> lk(entries_m_);
+    (void)find_or_register_locked(name);  // throws for an unknown name
+    return open_registry(name).entries();
 }
 
 void ModelRouter::set_canary(const std::string& name, std::uint64_t version,
@@ -661,17 +683,7 @@ void ModelRouter::set_canary(const std::string& name, std::uint64_t version,
                     return;
                 }
                 if (!e.model) load_locked(e, 0);
-                const std::string dir = registry_dir_locked(e);
-                if (dir.empty())
-                    throw std::runtime_error("ModelRouter: model '" + e.name +
-                                             "' has no registry");
-                online::ModelRegistry reg(dir);
-                const auto snap = reg.load(version);
-                e.canary_model = default_model_->with_weights(snap);
-                e.canary_sessions =
-                    e.canary_model->open_sessions(options_.workers);
-                e.canary_bytes = snapshot_bytes(snap);
-                resident_bytes_ += e.canary_bytes;
+                open_canary_arm_locked(e, open_registry(e.name), version);
                 e.canary_version = version;
                 e.canary_pct = pct;
                 evict_locked(&e);

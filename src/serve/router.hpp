@@ -28,9 +28,11 @@
 //     is never dropped by eviction.
 //   * Pin / unload — `pin(name, ver)` publishes registry version `ver` as
 //     the entry's base weights (the pool adopts it at batch boundaries via
-//     the PR 5 COW channel) and makes the entry eviction-immune; `unload`
-//     drops residency and the pin. The default entry ("") is permanently
-//     pinned.
+//     the COW publication channel), records a WeightPublish event, and
+//     makes the entry eviction-immune; `unload` drops residency and the
+//     pin. The default entry ("") is permanently pinned, boots on the last
+//     good version in RouterOptions::registry_dir, and `pin("", 0)`
+//     restores its compiled weights.
 //   * Canary — `set_canary(name, ver, pct)` loads version `ver` as a
 //     second session pool and routes a deterministic hash(request_id)-based
 //     pct% of the entry's traffic to it, with per-arm dispatch/ok/error
@@ -67,6 +69,7 @@
 #include "common/stats.hpp"
 #include "common/tensor.hpp"
 #include "obs/flight_recorder.hpp"
+#include "online/registry.hpp"
 #include "runtime/compiled_model.hpp"
 #include "serve/admission.hpp"
 #include "serve/clock.hpp"
@@ -92,9 +95,9 @@ struct RouterOptions {
     /// model name — the lazy-load source. "" disables fleet loading (the
     /// router then serves only its default model, i.e. plain Server mode).
     std::string fleet_dir;
-    /// Registry directory for the DEFAULT entry's pin/canary weights
-    /// (typically the same registry the online engine records into). ""
-    /// means the default entry cannot canary.
+    /// online::ModelRegistry directory of the DEFAULT entry: construction
+    /// publishes its last good version, and pin/canary/versions read it.
+    /// "" = the default entry has no registry.
     std::string registry_dir;
     /// Resident plastic-weight budget in bytes, summed over every loaded
     /// arm fleet-wide (the always-pinned default entry counts too). 0 =
@@ -151,10 +154,11 @@ struct ModelEntryStats {
 class ModelRouter {
 public:
     /// Validates options, installs `default_model` as the permanently
-    /// pinned entry "" and opens its session pool. Workers do not run
-    /// until start(); submissions before start() queue up (or shed once
-    /// the queue fills). Throws std::invalid_argument on a null model or
-    /// degenerate options.
+    /// pinned entry "", opens its session pool and publishes the last good
+    /// version in options.registry_dir, if any. Workers do not run until
+    /// start(); submissions before start() queue up (or shed once the queue
+    /// fills). Throws std::invalid_argument on a null model, degenerate
+    /// options, or a last good version of another topology.
     ModelRouter(std::shared_ptr<const runtime::CompiledModel> default_model,
                 RouterOptions options = {});
     /// Drains and joins (shutdown()).
@@ -218,9 +222,14 @@ public:
 
     /// Publishes registry version `version` as the entry's base weights
     /// (resident pools adopt at their next batch boundary) and pins the
-    /// entry against eviction. version == 0 pins the current weights.
+    /// entry against eviction. version == 0 pins a fleet entry's current
+    /// weights, and publishes the default entry's compiled weights.
     /// Returns the base version now serving.
     std::uint64_t pin(const std::string& name, std::uint64_t version);
+
+    /// `name`'s registry entries in acceptance order, read from disk.
+    /// Throws when the name is unknown or has no registry.
+    std::vector<online::RegistryEntry> versions(const std::string& name);
 
     /// Routes `pct`% (0..100) of the entry's traffic to registry version
     /// `version` on a second session pool. pct == 0 clears the canary.
@@ -311,10 +320,19 @@ private:
     /// registry directory for it. Throws std::invalid_argument for names
     /// the fleet cannot serve. Requires entries_m_.
     Entry& find_or_register_locked(const std::string& name);
+    /// Opens `name`'s registry; throws when it has none.
+    online::ModelRegistry open_registry(const std::string& name) const;
     /// Makes `e` resident at `version` (0 = the registry's last good),
     /// restoring a configured canary arm, charging the budget, and running
     /// the evictor. Requires entries_m_.
     void load_locked(Entry& e, std::uint64_t version);
+    /// Opens `e`'s canary arm on `version`. Requires entries_m_.
+    void open_canary_arm_locked(Entry& e, const online::ModelRegistry& reg,
+                                std::uint64_t version);
+    /// The one publish step: registry `version` (0 = the compiled weights)
+    /// becomes resident `e`'s base, recorded as a WeightPublish event (a =
+    /// version, b = its registry accuracy in ppm). Requires entries_m_.
+    void publish_locked(Entry& e, std::uint64_t version);
     /// Evicts LRU entries (never pinned / inflight / `keep`) until the
     /// budget holds or nothing is evictable. Requires entries_m_.
     void evict_locked(const Entry* keep);
@@ -323,8 +341,6 @@ private:
     /// an explicit unload clears everything. Requires entries_m_.
     void drop_arms_locked(Entry& e, bool keep_canary_config);
     void drop_canary_arm_locked(Entry& e);
-    /// The registry directory serving `e` ("" when it has none).
-    std::string registry_dir_locked(const Entry& e) const;
     DispatchSlot acquire_slot(const Request& r, std::size_t worker,
                               std::uint64_t batch_ordinal);
     /// `latency_us` < 0 skips the per-model histogram (error outcomes).

@@ -10,8 +10,9 @@
 //     and never wedges the drain,
 //   * drain/shutdown semantics: accepted-implies-responded, control socket
 //     survives a pure drain,
-//   * control commands: ping/stats/version, and registry pin/rollback
+//   * control commands: ping/stats/version, registry pin/rollback
 //     round-trips through online::ModelRegistry into live published weights,
+//     and the router's boot on the default registry's last good version,
 //   * multi-model (v2): one connection routes to several fleet entries
 //     bit-identically to dedicated sessions, responses echo version+model,
 //     and the fleet control commands (models/load/pin/canary/unload)
@@ -134,15 +135,23 @@ std::string make_fleet(
     return root.string();
 }
 
+/// The unsigned number after the first `"key":` in a JSON reply.
+std::uint64_t json_u64(const std::string& json, const std::string& key) {
+    const std::size_t at = json.find("\"" + key + "\":");
+    if (at == std::string::npos) return ~std::uint64_t{0};
+    return std::stoull(json.substr(at + key.size() + 3));
+}
+
 /// One daemon on unique Unix socket paths, run on a dedicated thread.
 /// Tests tweak the public option fields before start().
 struct Harness {
     std::shared_ptr<const runtime::CompiledModel> model = make_model();
     serve::ServerOptions sopt;
     netd::DaemonOptions dopt;
-    std::shared_ptr<online::ModelRegistry> registry;
+    /// The default entry's registry (RouterOptions::registry_dir).
+    std::string registry_dir;
     /// When set, start() gives the router this fleet and builds the
-    /// router-native Daemon instead of the single-model form.
+    /// router-native Daemon instead of the same-model guard form.
     std::string fleet_dir;
     std::size_t budget_bytes = 0;
     /// Observability knobs (RouterOptions).
@@ -169,16 +178,16 @@ struct Harness {
     void start(bool start_server = true) {
         serve::RouterOptions ropt = sopt;
         ropt.fleet_dir = fleet_dir;
+        ropt.registry_dir = registry_dir;
         ropt.resident_budget_bytes = budget_bytes;
         ropt.recorder = recorder;
         ropt.slow_request_us = slow_request_us;
         router = std::make_shared<serve::ModelRouter>(model, ropt);
         if (start_server) router->start();
         if (fleet_dir.empty())
-            daemon =
-                std::make_unique<netd::Daemon>(router, model, dopt, registry);
+            daemon = std::make_unique<netd::Daemon>(router, model, dopt);
         else
-            daemon = std::make_unique<netd::Daemon>(router, dopt, registry);
+            daemon = std::make_unique<netd::Daemon>(router, dopt);
         thread = std::thread([this] { daemon->run(); });
         // The daemon binds on its own thread; wait until it answers.
         ASSERT_TRUE(eventually([&] {
@@ -434,10 +443,8 @@ TEST(Netd, ControlPingStatsAndVersion) {
     EXPECT_NE(stats.find("\"control_commands\""), std::string::npos);
 }
 
-// The single-model constructor names the model its legacy commands
-// (version/load/unload/pin/rollback/stats) publish to. A model the router
-// does not serve would take those publishes while every worker kept the
-// old weights — so construction refuses it.
+// The same-model guard: a Daemon built with a model the router does not
+// serve refuses construction.
 TEST(Netd, SingleModelDaemonRefusesAModelTheRouterDoesNotServe) {
     Harness h;
     const auto router = std::make_shared<serve::ModelRouter>(h.model, h.sopt);
@@ -460,15 +467,27 @@ TEST(Netd, RegistryPinAndRollbackRoundTrip) {
         const auto dir = std::filesystem::temp_directory_path() /
                          ("neuro_netd_reg_" + std::to_string(::getpid()));
         std::filesystem::remove_all(dir);
-        h.registry = std::make_shared<online::ModelRegistry>(dir.string());
-        h.registry->record(1, 0.81, forced_snapshot(*h.model, 1));
-        h.registry->record(2, 0.86, forced_snapshot(*h.model, 2));
+        h.registry_dir = dir.string();
         h.start();
+        // Recorded after the boot, which found the registry empty.
+        online::ModelRegistry reg(dir.string());
+        reg.record(1, 0.81, forced_snapshot(*h.model, 1));
+        reg.record(2, 0.86, forced_snapshot(*h.model, 2));
 
         const auto img = make_images(1).samples[0].image;
         auto client = h.connect();
+        // The version serving, as the default row of `models` reports it;
+        // stats' daemon.pinned_version must agree.
+        const auto serving = [&] {
+            const std::string models = h.control("models");
+            EXPECT_EQ(models.rfind("ok [{\"name\":\"\",", 0), 0u) << models;
+            const std::uint64_t base = json_u64(models, "base_version");
+            EXPECT_EQ(json_u64(h.control("stats"), "pinned_version"), base);
+            return base;
+        };
 
         EXPECT_EQ(h.control("load latest"), "ok pinned 2 published 1");
+        EXPECT_EQ(serving(), 2u);
         // Worker sessions adopt the published image at their next batch
         // boundary; the forced output layer then predicts the winner.
         EXPECT_TRUE(eventually([&] {
@@ -477,6 +496,7 @@ TEST(Netd, RegistryPinAndRollbackRoundTrip) {
         }));
 
         EXPECT_EQ(h.control("rollback"), "ok pinned 1 published 2");
+        EXPECT_EQ(serving(), 1u);
         EXPECT_TRUE(eventually([&] {
             static std::uint64_t id = 2000;
             return client.call(make_frame(img, id++)).label == 1u;
@@ -486,6 +506,7 @@ TEST(Netd, RegistryPinAndRollbackRoundTrip) {
         EXPECT_EQ(h.control("load 9"), "err unknown version: 9");
         EXPECT_EQ(h.control("version"), "ok 2");
         EXPECT_EQ(h.control("unload"), "ok unloaded");
+        EXPECT_EQ(serving(), 0u);
         EXPECT_EQ(h.control("version"), "ok 3");
 
         const std::string versions = h.control("versions");
@@ -521,15 +542,16 @@ TEST(Netd, PinningAVersionOfAnotherTopologyErrsAndKeepsServing) {
     const auto dir = std::filesystem::temp_directory_path() /
                      ("neuro_netd_topology_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir);
-    h.registry = std::make_shared<online::ModelRegistry>(dir.string());
+    h.registry_dir = dir.string();
+    h.start();
     {
         runtime::ModelSpec wide;
         wide.input(1, kSide, kSide).hidden_layers({50}).output_classes(
             kClasses);
         const auto other = runtime::CompiledModel::compile(wide);
-        h.registry->record(1, 0.9, other->initial_weights());
+        online::ModelRegistry(dir.string())
+            .record(1, 0.9, other->initial_weights());
     }
-    h.start();
 
     const auto img = make_images(1).samples[0].image;
     const std::size_t want = h.model->open_session()->predict(img);
@@ -548,6 +570,73 @@ TEST(Netd, PinningAVersionOfAnotherTopologyErrsAndKeepsServing) {
     EXPECT_EQ(h.control("ping"), "ok pong");
 
     h.stop();
+    std::filesystem::remove_all(dir);
+}
+
+// The router boots the default entry on its registry's last good version:
+// one publish, recorded with that version's accuracy, and `rollback` steps
+// back from it.
+TEST(Netd, RouterBootsTheDefaultModelOnItsRegistrysLastGood) {
+    obs::FlightRecorder rec(64);
+    Harness h;
+    h.recorder = &rec;
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("neuro_netd_boot_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    {
+        online::ModelRegistry reg(dir.string());
+        reg.record(1, 0.81, forced_snapshot(*h.model, 1));
+        reg.record(2, 0.86, forced_snapshot(*h.model, 2));
+    }
+    h.registry_dir = dir.string();
+    h.start();
+
+    EXPECT_EQ(h.control("version"), "ok 1");
+    EXPECT_EQ(json_u64(h.control("stats"), "pinned_version"), 2u);
+    std::vector<obs::Event> publishes;
+    for (const auto& e : rec.snapshot())
+        if (e.kind == obs::EventKind::WeightPublish) publishes.push_back(e);
+    ASSERT_EQ(publishes.size(), 1u);
+    EXPECT_EQ(publishes[0].detail_str(), "");
+    EXPECT_EQ(publishes[0].a, 2u);
+    EXPECT_EQ(publishes[0].b, 860'000u);
+
+    // Workers adopt the boot image at their first batch.
+    const auto img = make_images(1).samples[0].image;
+    auto client = h.connect();
+    EXPECT_EQ(client.call(make_frame(img, 1)).label, 2u);
+    EXPECT_EQ(h.control("rollback"), "ok pinned 1 published 2");
+
+    h.stop();
+    std::filesystem::remove_all(dir);
+}
+
+// A last good version of another topology fails the router's construction
+// with publish_weights' typed error (neurod's exit-1 `fatal` path), and
+// publishes nothing.
+TEST(Netd, BootingAVersionOfAnotherTopologyFailsConstruction) {
+    Harness h;
+    const auto dir = std::filesystem::temp_directory_path() /
+                     ("neuro_netd_boot_topology_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    {
+        runtime::ModelSpec wide;
+        wide.input(1, kSide, kSide).hidden_layers({50}).output_classes(
+            kClasses);
+        const auto other = runtime::CompiledModel::compile(wide);
+        online::ModelRegistry(dir.string())
+            .record(1, 0.9, other->initial_weights());
+    }
+    serve::RouterOptions ropt = h.sopt;
+    ropt.registry_dir = dir.string();
+    try {
+        serve::ModelRouter router(h.model, ropt);
+        ADD_FAILURE() << "construction did not throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("publish_weights:", 0), 0u)
+            << e.what();
+    }
+    EXPECT_EQ(h.model->published_version(), 0u);
     std::filesystem::remove_all(dir);
 }
 
@@ -779,6 +868,15 @@ TEST(Netd, EventsDumpRecordsControlPlaneHistory) {
         << events;
     EXPECT_NE(events.find("\"kind\":\"weight_publish\""), std::string::npos);
     EXPECT_NE(events.find("\"detail\":\"alpha\""), std::string::npos);
+    // The pin's publish carries the version and its registry accuracy
+    // (make_fleet records 0.9) in ppm.
+    std::vector<obs::Event> publishes;
+    for (const auto& e : rec.snapshot())
+        if (e.kind == obs::EventKind::WeightPublish) publishes.push_back(e);
+    ASSERT_EQ(publishes.size(), 1u);
+    EXPECT_EQ(publishes[0].detail_str(), "alpha");
+    EXPECT_EQ(publishes[0].a, 1u);
+    EXPECT_EQ(publishes[0].b, 900'000u);
 
     // `events N` narrows the dump to the newest N.
     const std::string one = h.control("events 1");

@@ -1,6 +1,8 @@
-# neurod runs no online learner, so it must refuse --feedback_capacity
-# instead of queueing feedback frames that nothing drains: exit status 2
-# and a message naming the reason. Registered with ctest by CMakeLists.txt:
+# neurod's usage errors end in exit status 2 and a message, never an abort:
+#   * it runs no online learner, so it must refuse --feedback_capacity
+#     instead of queueing feedback frames that nothing drains;
+#   * a malformed --hidden layer list names the flag.
+# Registered with ctest by CMakeLists.txt:
 #
 #   cmake -DNEUROD=build/neurod -P tests/neurod_cli_test.cmake
 #
@@ -30,3 +32,23 @@ if(at EQUAL -1)
           "neurod --feedback_capacity=8 did not say that it runs no online "
           "learner\nstderr: ${err}")
 endif()
+
+foreach(hidden "abc" "100,,50")
+  execute_process(
+    COMMAND "${NEUROD}" --hidden=${hidden}
+            --listen=neurod_cli_test.sock --control=neurod_cli_test.ctl
+    RESULT_VARIABLE code
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    TIMEOUT 30)
+  if(NOT code STREQUAL "2")
+    message(FATAL_ERROR
+            "neurod --hidden=${hidden} ended with '${code}', want exit status 2\n"
+            "stderr: ${err}")
+  endif()
+  string(FIND "${err}" "--hidden" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR
+            "neurod --hidden=${hidden} did not name the flag\nstderr: ${err}")
+  endif()
+endforeach()

@@ -407,6 +407,32 @@ TEST(Registry, CorruptSnapshotFailsLoudly) {
     std::filesystem::remove_all(dir);
 }
 
+// A record whose manifest write fails leaves no version behind: not in
+// memory (so nothing lists or rolls back to it), and not in the manifest
+// the next successful record writes.
+TEST(Registry, FailedRecordLeavesNoTrace) {
+    const auto dir = fresh_dir("failed_record");
+    const runtime::WeightSnapshot snap{{{1, 2, 3}}};
+    online::ModelRegistry reg(dir);
+    reg.record(1, 0.5, snap);
+    // A directory in the temp manifest's place makes the write fail.
+    const auto blocker = std::filesystem::path(dir) / "MANIFEST.tmp";
+    std::filesystem::create_directory(blocker);
+    EXPECT_THROW(reg.record(2, 0.6, snap), std::runtime_error);
+    EXPECT_FALSE(reg.has(2));
+    ASSERT_EQ(reg.entries().size(), 1u);
+    EXPECT_EQ(reg.last_good()->version, 1u);
+    EXPECT_EQ(online::ModelRegistry(dir).entries().size(), 1u);
+
+    std::filesystem::remove(blocker);
+    reg.record(3, 0.7, snap);
+    const online::ModelRegistry fresh(dir);
+    ASSERT_EQ(fresh.entries().size(), 2u);
+    EXPECT_EQ(fresh.entries()[0].version, 1u);
+    EXPECT_EQ(fresh.entries()[1].version, 3u);
+    std::filesystem::remove_all(dir);
+}
+
 // ---- replay pool ------------------------------------------------------------
 
 TEST(ReplayPool, SameSeedSameDraws) {

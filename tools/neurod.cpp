@@ -7,6 +7,10 @@
 // SIGTERM/SIGINT trigger the graceful drain: stop accepting, resolve
 // everything in flight, flush every response, exit 0.
 //
+// --registry names the default model's online::ModelRegistry: the router
+// boots its last good version, and the control socket's `load`, `pin`,
+// `rollback` and `unload` move the default entry between its versions.
+//
 // Multi-model: --fleet points at a directory holding one
 // online::ModelRegistry subdirectory per model name; v2 clients address
 // entries by name, the router lazy-loads them, and --budget_mb caps the
@@ -20,6 +24,7 @@
 #include <cstdio>
 #include <exception>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,7 +32,6 @@
 #include "netd/daemon.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/timer.hpp"
-#include "online/registry.hpp"
 #include "runtime/compiled_model.hpp"
 #include "runtime/model_spec.hpp"
 #include "serve/router.hpp"
@@ -40,16 +44,16 @@ void on_signal(int) {
     if (g_daemon) g_daemon->request_shutdown();  // async-signal-safe
 }
 
+/// --hidden's comma-separated layer sizes; empty unless every one is a
+/// plain decimal number.
 std::vector<std::size_t> parse_hidden(const std::string& csv) {
     std::vector<std::size_t> out;
-    std::size_t pos = 0;
-    while (pos < csv.size()) {
-        const std::size_t comma = csv.find(',', pos);
-        const std::string tok =
-            csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
+    std::istringstream in(csv + ",");  // so a trailing "" is a token too
+    for (std::string tok; std::getline(in, tok, ',');) {
+        if (tok.empty() || tok.size() > 9 ||
+            tok.find_first_not_of("0123456789") != std::string::npos)
+            return {};
         out.push_back(static_cast<std::size_t>(std::stoul(tok)));
-        if (comma == std::string::npos) break;
-        pos = comma + 1;
     }
     return out;
 }
@@ -74,7 +78,6 @@ int main(int argc, char** argv) {
 
     const std::string listen = cli.get("listen", "/tmp/neurod.sock");
     const std::string control = cli.get("control", "/tmp/neurod.ctl");
-    const std::string registry_dir = cli.get("registry", "");
     const std::string fleet_dir = cli.get("fleet", "");
 
     netd::DaemonOptions dopt;
@@ -101,7 +104,7 @@ int main(int argc, char** argv) {
     ropt.admission.codel.interval_us =
         static_cast<std::uint64_t>(cli.get_int("codel_interval_us", 100'000));
     ropt.fleet_dir = fleet_dir;
-    ropt.registry_dir = registry_dir;
+    ropt.registry_dir = cli.get("registry", "");
     ropt.resident_budget_bytes =
         static_cast<std::size_t>(cli.get_int("budget_mb", 0)) * (1u << 20);
 
@@ -118,6 +121,11 @@ int main(int argc, char** argv) {
     const auto side = static_cast<std::size_t>(cli.get_int("side", 16));
     const auto classes = static_cast<std::size_t>(cli.get_int("classes", 10));
     const auto hidden = parse_hidden(cli.get("hidden", "100"));
+    if (hidden.empty()) {
+        std::fprintf(stderr, "neurod: --hidden must be comma-separated layer "
+                             "sizes, got '%s'\n", cli.get("hidden", "").c_str());
+        return 2;
+    }
 
     try {
         const auto spec = runtime::ModelSpec{}
@@ -127,22 +135,13 @@ int main(int argc, char** argv) {
         auto model = runtime::CompiledModel::compile(
             spec, runtime::BackendKind::LoihiSim);
 
-        std::shared_ptr<online::ModelRegistry> registry;
-        if (!registry_dir.empty()) {
-            registry = std::make_shared<online::ModelRegistry>(registry_dir);
-            // Boot from the last weight version that passed the shadow-eval
-            // gate, exactly like a restarted online engine would.
-            if (const auto last = registry->last_good()) {
-                model->publish_weights(registry->load(last->version));
-                std::fprintf(stderr, "neurod: booted registry v%llu\n",
-                             static_cast<unsigned long long>(last->version));
-            }
-        }
-
         auto router = std::make_shared<serve::ModelRouter>(model, ropt);
         router->start();
+        if (const auto v = router->model_stats("").base_version)
+            std::fprintf(stderr, "neurod: booted registry v%llu\n",
+                         static_cast<unsigned long long>(v));
 
-        netd::Daemon daemon(router, dopt, registry);
+        netd::Daemon daemon(router, dopt);
         g_daemon = &daemon;
         struct sigaction sa{};
         sa.sa_handler = on_signal;
