@@ -1,7 +1,9 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string_view>
 
 namespace neuro::common {
@@ -32,14 +34,37 @@ std::string Cli::get(const std::string& key, const std::string& fallback) const 
     return it == kv_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Parses all of `text` with `parse` (a strtoll/strtod-shaped call); a
+/// value with no digits, trailing characters or out of range names the flag.
+template <typename Parse>
+auto parse_number(const std::string& key, const std::string& text,
+                  const char* kind, Parse parse) {
+    const char* begin = text.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const auto value = parse(begin, &end);
+    if (end == begin || *end != '\0' || errno == ERANGE)
+        throw std::invalid_argument("--" + key + " expects " + kind + ", got '" +
+                                    text + "'");
+    return value;
+}
+
+}  // namespace
+
 std::int64_t Cli::get_int(const std::string& key, std::int64_t fallback) const {
     const auto it = kv_.find(key);
-    return it == kv_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+    if (it == kv_.end()) return fallback;
+    return parse_number(key, it->second, "an integer",
+                        [](const char* s, char** end) { return std::strtoll(s, end, 10); });
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
     const auto it = kv_.find(key);
-    return it == kv_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    if (it == kv_.end()) return fallback;
+    return parse_number(key, it->second, "a number",
+                        [](const char* s, char** end) { return std::strtod(s, end); });
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {

@@ -17,6 +17,10 @@ public:
 
     bool has(const std::string& key) const;
     std::string get(const std::string& key, const std::string& fallback) const;
+    /// Numeric values must parse whole: a value with no digits, trailing
+    /// characters or out of range throws std::invalid_argument naming the
+    /// flag, so a malformed number stops the binary instead of running it
+    /// with a truncated one.
     std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
     double get_double(const std::string& key, double fallback) const;
     bool get_bool(const std::string& key, bool fallback) const;

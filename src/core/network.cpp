@@ -254,6 +254,9 @@ void OperationFlow<Substrate>::set_plastic_weights(
     const std::vector<std::vector<std::int32_t>>& w) {
     if (w.size() != plastic_.size())
         throw std::invalid_argument("set_plastic_weights: layer count mismatch");
+    // Check every layer before writing any: a bad one leaves all unchanged.
+    for (std::size_t p = 0; p < plastic_.size(); ++p)
+        chip_.check_weights(plastic_[p], w[p]);
     for (std::size_t p = 0; p < plastic_.size(); ++p)
         chip_.program_weights(plastic_[p], w[p]);
 }

@@ -80,7 +80,8 @@ public:
     /// Reprograms every plastic projection (sizes must match
     /// plastic_weights(); values must fit the weight precision). Works on a
     /// finalized chip — the host-side equivalent of rewriting synaptic
-    /// memory — and leaves stuck-at faulted cells untouched.
+    /// memory — and leaves stuck-at faulted cells untouched. A call that
+    /// throws writes no layer.
     void set_plastic_weights(const std::vector<std::vector<std::int32_t>>& w);
 
     // ---- probing ------------------------------------------------------------

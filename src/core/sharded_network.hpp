@@ -1,6 +1,6 @@
 #pragma once
 // EMSTDP across multiple chips: the single-chip network of core/network.hpp
-// split over N loihi::Chip instances with inter-chip spike routing
+// split over N loihi::Chip instances that relay spikes between them
 // (loihi/shard.hpp + loihi/router.hpp).
 //
 // The class builds the ordinary single-chip prototype first — so topology,
@@ -11,8 +11,8 @@
 // weights, same spike counts, same ActivityTotals); with several shards the
 // forward pass is still bit-identical (spiking consumes no RNG in the
 // default configuration) and training is deterministic for any shard count,
-// with per-shard / per-cut-projection stochastic-rounding streams replacing
-// the single chip-wide stream.
+// with one stochastic-rounding stream per shard replacing the single
+// chip-wide stream (bit-identical again when stochastic rounding is off).
 
 #include <cstddef>
 #include <vector>

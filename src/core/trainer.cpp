@@ -118,12 +118,10 @@ loihi::EnergyReport measure_energy(runtime::Session& session,
     loihi::EnergyReport total{};
     const auto& chips = sharded->chip();
     for (std::size_t sh = 0; sh < chips.num_shards(); ++sh) {
-        // shard_activity includes the shard's slice of the router's work
-        // (inbound cross-chip deliveries, cut-projection learning visits) —
-        // the synaptic work exists whether or not the synapse crossed a chip
-        // boundary.
+        // A cut projection's synaptic ops and learning visits count on its
+        // destination shard, which holds its synapses.
         const auto r = loihi::estimate_energy(
-            params, chips.shard(sh), chips.shard_activity(sh), samples);
+            params, chips.shard(sh), chips.shard(sh).activity(), samples);
         total.step_seconds = std::max(total.step_seconds, r.step_seconds);
         total.power_w += r.power_w;
         total.cores += r.cores;

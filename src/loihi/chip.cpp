@@ -145,6 +145,25 @@ void Chip::detach_structure() {
 }
 
 PopulationId Chip::add_population(PopulationConfig cfg) {
+    if (s_->num_relays != 0)
+        throw std::logic_error("add_population: relays follow every population");
+    return push_population(std::move(cfg));
+}
+
+PopulationId Chip::add_relay(std::string name, std::size_t size) {
+    PopulationConfig cfg;
+    cfg.name = std::move(name);
+    cfg.size = size;
+    const PopulationId p = push_population(std::move(cfg));
+    ++s_->num_relays;
+    return p;
+}
+
+bool Chip::is_relay(PopulationId pop) const {
+    return pop >= s_->pops.size() - s_->num_relays && pop < s_->pops.size();
+}
+
+PopulationId Chip::push_population(PopulationConfig cfg) {
     check_finalized(false);
     detach_structure();
     if (cfg.size == 0) throw std::invalid_argument("add_population: empty population");
@@ -199,7 +218,7 @@ void Chip::finalize() {
         const auto& pop = s_->pops[pi];
         LayerMapSpec spec;
         spec.name = pop.cfg.name;
-        spec.logical_neurons = pop.cfg.size;
+        spec.logical_neurons = is_relay(pi) ? 0 : pop.cfg.size;  // no core
         spec.compartments_per_neuron =
             pop.cfg.compartment.join == JoinOp::None ? 1 : 2;
         std::size_t fan_in = 0;
@@ -478,9 +497,14 @@ void Chip::step() {
     // stream depends on it). Phase timers wrap whole passes — never the
     // tagged vector loops — so the clock reads stay out of autovectorized
     // code (two reads per pass when enabled, one relaxed load when not).
+    // The sweep stops at the first relay; the relays' spike flags (set
+    // only for learning, by mirror_pre_state) clear so pass 2 skips them.
     {
         obs::Timer t(phase_times_.sweep_ns);
-        for (PopulationId p = 0; p < s_->pops.size(); ++p) {
+        const std::size_t native = s_->pops.size() - s_->num_relays;
+        if (native < s_->pops.size())
+            bank_.spiked.clear_range(s_->pops[native].first, bank_.size());
+        for (PopulationId p = 0; p < native; ++p) {
             const Population& pop = s_->pops[p];
             const std::size_t b = pop.first;
             const std::size_t e = b + pop.cfg.size;
@@ -896,22 +920,45 @@ std::size_t Chip::stuck_synapse_count(ProjectionId proj) const {
     return n;
 }
 
-void Chip::deliver_external(PopulationId pop, std::size_t idx,
-                            std::int32_t eff_weight, Port port) {
+void Chip::check_relay(PopulationId relay, const Chip& src,
+                       PopulationId src_pop) const {
     check_finalized(true);
-    const CompartmentId c = global_id(pop, idx);
-    if (port == Port::Soma)
-        bank_.pending_soma[c] += eff_weight;
-    else
-        bank_.pending_aux[c] += eff_weight;
+    if (!is_relay(relay) || src.population_size(src_pop) != s_->pops[relay].cfg.size)
+        throw std::invalid_argument("relay: not a relay of that population");
 }
 
-void Chip::collect_spiked(PopulationId pop,
-                          std::vector<std::uint32_t>& out) const {
-    const auto n = population_size(pop);
-    const CompartmentId base = s_->pops[pop].first;
-    for (std::size_t i = 0; i < n; ++i)
-        if (bank_.spiked.get(base + i)) out.push_back(static_cast<std::uint32_t>(i));
+std::size_t Chip::relay_spikes(PopulationId relay, const Chip& src,
+                               PopulationId src_pop) {
+    check_relay(relay, src, src_pop);
+    const std::size_t n = s_->pops[relay].cfg.size;
+    const CompartmentId base = s_->pops[relay].first;
+    const CompartmentId src_base = src.s_->pops[src_pop].first;
+    std::size_t spikes = 0;
+    std::uint64_t synops = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!src.bank_.spiked.get(src_base + i)) continue;
+        ++spikes;
+        synops += deliver(base + i);
+    }
+    activity_.synaptic_ops += synops;
+    pop_activity_[relay].synaptic_ops += synops;
+    return spikes;
+}
+
+void Chip::mirror_pre_state(PopulationId relay, const Chip& src,
+                            PopulationId src_pop) {
+    check_relay(relay, src, src_pop);
+    const std::size_t n = s_->pops[relay].cfg.size;
+    const CompartmentId base = s_->pops[relay].first;
+    const CompartmentId src_base = src.s_->pops[src_pop].first;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (src.bank_.spiked.get(src_base + i))
+            bank_.spiked.set(base + i);
+        else
+            bank_.spiked.clear(base + i);
+    }
+    std::copy_n(src.bank_.x1.begin() + src_base, n, bank_.x1.begin() + base);
+    std::copy_n(src.bank_.x2.begin() + src_base, n, bank_.x2.begin() + base);
 }
 
 const PopulationConfig& Chip::population_config(PopulationId pop) const {
@@ -1018,20 +1065,6 @@ std::vector<std::int32_t> Chip::weights(ProjectionId proj) const {
     return out;
 }
 
-void Chip::set_weights(ProjectionId proj, const std::vector<std::int32_t>& w) {
-    if (proj >= s_->projs.size())
-        throw std::invalid_argument("set_weights: bad projection");
-    if (finalized_)
-        throw std::logic_error("set_weights: weights are fixed after finalize; "
-                               "use a plastic projection to adapt them");
-    detach_structure();
-    auto& syns = s_->projs[proj].synapses;
-    if (w.size() != syns.size())
-        throw std::invalid_argument("set_weights: size mismatch");
-    for (std::size_t i = 0; i < w.size(); ++i)
-        syns[i].weight = common::saturate_signed(w[i], limits_.weight_bits);
-}
-
 void Chip::write_weight(std::size_t proj, std::size_t i, std::int32_t w) {
     // A stuck memory cell ignores reprogramming.
     if (!stuck_[proj].empty() && stuck_[proj][i] != 0) return;
@@ -1045,25 +1078,29 @@ void Chip::write_weight(std::size_t proj, std::size_t i, std::int32_t w) {
     }
 }
 
-void Chip::program_weights(ProjectionId proj, const std::vector<std::int32_t>& w) {
+void Chip::check_weights(ProjectionId proj,
+                         const std::vector<std::int32_t>& w) const {
     if (proj >= s_->projs.size())
         throw std::invalid_argument("program_weights: bad projection");
-    if (finalized_)
-        detach_weights();
-    else
-        detach_structure();  // pre-finalize, write_weight hits the builder
     const auto& p = s_->projs[proj];
     if (w.size() != p.synapses.size())
         throw std::invalid_argument("program_weights: size mismatch for " +
                                     p.cfg.name);
-    for (std::size_t i = 0; i < w.size(); ++i) {
-        if (w[i] != common::saturate_signed(w[i], limits_.weight_bits))
+    for (const auto v : w)
+        if (v != common::saturate_signed(v, limits_.weight_bits))
             throw std::invalid_argument("program_weights(" + p.cfg.name +
                                         "): weight exceeds " +
                                         std::to_string(limits_.weight_bits) +
                                         " bits");
-        write_weight(proj, i, w[i]);
-    }
+}
+
+void Chip::program_weights(ProjectionId proj, const std::vector<std::int32_t>& w) {
+    check_weights(proj, w);
+    if (finalized_)
+        detach_weights();
+    else
+        detach_structure();  // pre-finalize, write_weight hits the builder
+    for (std::size_t i = 0; i < w.size(); ++i) write_weight(proj, i, w[i]);
 }
 
 std::size_t Chip::synapse_count(ProjectionId proj) const {

@@ -31,6 +31,11 @@ MappingResult map_layers(const std::vector<LayerMapSpec>& layers,
     std::size_t next_core = 0;
     for (const auto& layer : layers) {
         LayerAssignment a;
+        a.first_core = next_core;
+        if (layer.logical_neurons == 0) {  // e.g. a relay: holds no core
+            result.layers.push_back(a);
+            continue;
+        }
         std::size_t npc = layer.neurons_per_core != 0
                               ? layer.neurons_per_core
                               : capacity_neurons_per_core(layer, limits);
@@ -44,10 +49,7 @@ MappingResult map_layers(const std::vector<LayerMapSpec>& layers,
             npc = cap;
         }
         a.neurons_per_core = npc;
-        a.first_core = next_core;
-        a.num_cores = layer.logical_neurons == 0
-                          ? 0
-                          : (layer.logical_neurons + npc - 1) / npc;
+        a.num_cores = (layer.logical_neurons + npc - 1) / npc;
         next_core += a.num_cores;
 
         a.compartments_per_core = npc * layer.compartments_per_neuron;

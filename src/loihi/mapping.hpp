@@ -22,7 +22,7 @@ namespace neuro::loihi {
 /// Per-layer mapping demand.
 struct LayerMapSpec {
     std::string name;
-    std::size_t logical_neurons = 0;
+    std::size_t logical_neurons = 0;          ///< 0: the layer takes no core
     std::size_t compartments_per_neuron = 1;  ///< 2 for soma+aux neurons
     std::size_t fan_in_per_neuron = 0;        ///< synapses terminating per neuron
     std::size_t fan_out_per_neuron = 0;       ///< synapses originating per neuron

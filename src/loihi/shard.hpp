@@ -44,8 +44,8 @@ struct ShardPlan {
     std::vector<std::size_t> shard_of;        ///< per population
     std::vector<std::size_t> cores_per_shard;
     std::size_t total_cores = 0;
-    /// Synapses whose endpoints live on different shards — the inter-chip
-    /// spike traffic the router must carry.
+    /// Synapses whose endpoints live on different shards. They live on
+    /// their destination's shard, fed by spikes relayed from the source's.
     std::size_t cut_synapses = 0;
 
     bool single() const { return num_shards <= 1; }

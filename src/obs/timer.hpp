@@ -19,12 +19,6 @@
 // Timers nest naturally: two scopes accumulating into different sinks
 // simply both run; the same sink may also be shared by sibling scopes
 // (totals add). That property is pinned by tests/obs_test.cpp.
-//
-// Building with -DNEURO_OBS_NO_TIMERS compiles every Timer to an empty
-// object — the escape hatch if even the relaxed load ever shows up in a
-// profile. Default builds keep the runtime switch: the serving stack
-// flips it per-process (neurod --trace) or per-bench (serving_load's
-// trace-on row).
 
 #include <atomic>
 #include <chrono>
@@ -58,13 +52,6 @@ inline std::uint64_t now_ns() {
             .count());
 }
 
-#ifdef NEURO_OBS_NO_TIMERS
-class Timer {
-public:
-    explicit Timer(std::uint64_t&) {}
-    void stop() {}
-};
-#else
 class Timer {
 public:
     /// Starts timing iff the global switch is on; otherwise costs one
@@ -89,6 +76,5 @@ private:
     std::uint64_t* sink_;
     std::uint64_t t0_;
 };
-#endif
 
 }  // namespace neuro::obs

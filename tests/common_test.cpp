@@ -15,6 +15,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -214,6 +216,27 @@ TEST(Cli, RejectsPositional) {
     const char* argv[] = {"prog", "positional"};
     Cli cli(2, argv);
     EXPECT_TRUE(cli.error());
+}
+
+TEST(Cli, MalformedNumbersNameTheFlag) {
+    const char* argv[] = {"prog", "--workers=3x", "--n=abc", "--rate=0.5s",
+                          "--big=99999999999999999999", "--neg=-4",
+                          "--empty=", "--bare"};
+    Cli cli(8, argv);
+    for (const char* key : {"workers", "n", "big", "empty", "bare"}) {
+        SCOPED_TRACE(key);
+        try {
+            cli.get_int(key, 0);
+            ADD_FAILURE() << "accepted a malformed integer";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("--") + key),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(cli.get_double("rate", 0.0), std::invalid_argument);
+    EXPECT_EQ(cli.get_int("neg", 0), -4);
+    EXPECT_EQ(cli.get_int("missing", 7), 7);
 }
 
 TEST(Stats, ConfusionAccuracyAndRecall) {

@@ -305,4 +305,19 @@ TEST(ProgramWeights, ReprogramsAfterFinalizeAndRespectsStuckCells) {
                  std::invalid_argument);
     EXPECT_THROW(net.chip().program_weights(proj, {1, 2, 3}),
                  std::invalid_argument);
+
+    // A rejected vector writes nothing, even when only its last weight is bad.
+    std::vector<std::int32_t> last_bad(w.size(), 5);
+    last_bad.back() = 1000;
+    EXPECT_THROW(net.chip().program_weights(proj, last_bad),
+                 std::invalid_argument);
+    EXPECT_EQ(net.chip().weights(proj), got);
+
+    // set_plastic_weights checks every layer before it programs any.
+    auto layers = net.plastic_weights();
+    ASSERT_GE(layers.size(), 2u);
+    std::fill(layers[0].begin(), layers[0].end(), 5);
+    layers[1].pop_back();
+    EXPECT_THROW(net.set_plastic_weights(layers), std::invalid_argument);
+    EXPECT_EQ(net.chip().weights(proj), got);
 }

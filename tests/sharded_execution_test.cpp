@@ -1,8 +1,8 @@
 // Multi-chip sharded execution (loihi/router.hpp, core/sharded_network.hpp,
 // the LoihiSim backend's ModelSpec::shards): bit-identity with the single
-// chip where the contract promises it, determinism everywhere,
-// routing/learning across the cut, transparent spill, and session
-// independence under concurrency.
+// chip where the contract promises it, determinism everywhere, relaying and
+// learning across the cut (stuck synapses included), per-shard mapping,
+// transparent spill, and session independence under concurrency.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include "core/sharded_network.hpp"
 #include "core/trainer.hpp"
 #include "data/dataset.hpp"
+#include "loihi/faults.hpp"
 #include "runtime/backend.hpp"
 #include "runtime/compiled_model.hpp"
 #include "runtime/weights.hpp"
@@ -133,25 +134,108 @@ TEST(ShardedExecution, MultiShardTrainingBitIdenticalWithoutStochasticRounding) 
     const auto train = digits(16);
     const auto probe = digits(6, 29);
 
-    auto reference = single_net(opt);
-    for (const auto& s : train.samples) reference.train_sample(s.image, s.label);
-    std::vector<std::vector<std::int32_t>> probe_counts;
-    for (const auto& s : probe.samples)
-        probe_counts.push_back(reference.output_counts(s.image));
-    // Snapshot after exactly one train pass + one probe pass; each sharded
-    // run below performs the identical sequence.
-    const loihi::ActivityTotals reference_activity = reference.chip().activity();
+    // DFA (the default) and FA, whose AND-gated hidden error populations
+    // then take relayed spikes on their aux port.
+    for (const auto mode : {core::FeedbackMode::DFA, core::FeedbackMode::FA}) {
+        SCOPED_TRACE(mode == core::FeedbackMode::FA ? "FA" : "DFA");
+        opt.feedback = mode;
+        auto reference = single_net(opt);
+        for (const auto& s : train.samples) reference.train_sample(s.image, s.label);
+        std::vector<std::vector<std::int32_t>> probe_counts;
+        for (const auto& s : probe.samples)
+            probe_counts.push_back(reference.output_counts(s.image));
+        // Snapshot after exactly one train pass + one probe pass; each sharded
+        // run below performs the identical sequence.
+        const loihi::ActivityTotals reference_activity = reference.chip().activity();
+
+        for (const std::size_t shards : {2u, 4u}) {
+            SCOPED_TRACE(shards);
+            auto sharded = sharded_net(opt, shards);
+            for (const auto& s : train.samples) sharded.train_sample(s.image, s.label);
+            EXPECT_EQ(reference.plastic_weights(), sharded.plastic_weights());
+            for (std::size_t i = 0; i < probe.samples.size(); ++i)
+                EXPECT_EQ(probe_counts[i], sharded.output_counts(probe.samples[i].image));
+            // The energy model's inputs survive sharding: every counter equals
+            // the single chip's when no RNG stream diverges.
+            expect_activity_equal(reference_activity, sharded.chip().activity());
+        }
+    }
+}
+
+// ---- a cut projection is an ordinary projection on its destination's
+// shard: stuck-at faults carry over, and the mapping is the single chip's --
+
+TEST(ShardedExecution, StuckSynapsesOnCutPlasticProjectionsTrainBitIdentically) {
+    auto opt = small_opt();
+    opt.feedback = core::FeedbackMode::FA;
+    opt.stochastic_rounding = false;
+    constexpr std::size_t kClasses4 = 4;
+    core::EmstdpNetwork single(opt, 1, 12, 12, nullptr, {40, 30}, kClasses4);
+    for (std::size_t l = 0; l < single.plastic_projections().size(); ++l)
+        loihi::stick_fraction(single.chip(), single.plastic_projections()[l],
+                              0.1, 3, 100 + l);
+
+    core::ShardedEmstdpNetwork sharded(single, 4);
+    ASSERT_EQ(sharded.num_shards(), 4u);
+    std::size_t cut_stuck = 0;
+    for (const auto q : single.plastic_projections())
+        if (sharded.chip().projection_is_cut(q))
+            cut_stuck += single.chip().stuck_synapse_count(q);
+    ASSERT_GT(cut_stuck, 0u);
+
+    data::GenOptions gen;
+    gen.count = 12;
+    gen.seed = 5;
+    gen.height = 12;
+    gen.width = 12;
+    const auto train = data::make_digits(gen);
+    single.chip().reset_activity();
+    for (const auto& s : train.samples) {
+        single.train_sample(s.image, s.label % kClasses4);
+        sharded.train_sample(s.image, s.label % kClasses4);
+    }
+    EXPECT_EQ(single.plastic_weights(), sharded.plastic_weights());
+    expect_activity_equal(single.chip().activity(), sharded.chip().activity());
+}
+
+TEST(ShardedExecution, EachPopulationMapsOnItsShardAsOnTheSingleChip) {
+    auto opt = small_opt();
+    opt.feedback = core::FeedbackMode::FA;
+    const core::EmstdpNetwork single(opt, 1, 28, 28, nullptr, {300, 200}, 10);
+    const loihi::Chip& proto = single.chip();
 
     for (const std::size_t shards : {2u, 4u}) {
         SCOPED_TRACE(shards);
-        auto sharded = sharded_net(opt, shards);
-        for (const auto& s : train.samples) sharded.train_sample(s.image, s.label);
-        EXPECT_EQ(reference.plastic_weights(), sharded.plastic_weights());
-        for (std::size_t i = 0; i < probe.samples.size(); ++i)
-            EXPECT_EQ(probe_counts[i], sharded.output_counts(probe.samples[i].image));
-        // The energy model's inputs survive sharding: every counter equals
-        // the single chip's when no RNG stream diverges.
-        expect_activity_equal(reference_activity, sharded.chip().activity());
+        const core::ShardedEmstdpNetwork sharded(single, shards);
+        ASSERT_EQ(sharded.num_shards(), shards);
+        // Populations are rebuilt on their shard in prototype build order,
+        // ahead of the shard's relays.
+        std::vector<loihi::PopulationId> next_local(shards, 0);
+        for (loihi::PopulationId p = 0; p < proto.num_populations(); ++p) {
+            const std::size_t s = sharded.plan().shard_of[p];
+            const loihi::Chip& chip = sharded.chip().shard(s);
+            const loihi::PopulationId local = next_local[s]++;
+            SCOPED_TRACE(proto.population_config(p).name);
+            ASSERT_EQ(chip.population_config(local).name,
+                      proto.population_config(p).name);
+            const auto& want = proto.mapping().layers[p];
+            const auto& got = chip.mapping().layers[local];
+            EXPECT_EQ(got.num_cores, want.num_cores);
+            EXPECT_EQ(got.synapses_per_core, want.synapses_per_core);
+            EXPECT_EQ(got.plastic_synapses_per_core, want.plastic_synapses_per_core);
+            EXPECT_EQ(got.compartments_per_core, want.compartments_per_core);
+        }
+        std::size_t relays = 0;
+        for (std::size_t s = 0; s < shards; ++s) {
+            const loihi::Chip& chip = sharded.chip().shard(s);
+            for (loihi::PopulationId p = next_local[s]; p < chip.num_populations();
+                 ++p, ++relays) {
+                EXPECT_TRUE(chip.is_relay(p));
+                EXPECT_EQ(chip.mapping().layers[p].num_cores, 0u);
+            }
+            EXPECT_EQ(chip.mapping().total_cores, sharded.plan().cores_per_shard[s]);
+        }
+        EXPECT_GT(relays, 0u);
     }
 }
 

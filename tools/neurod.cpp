@@ -25,6 +25,7 @@
 #include <exception>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -60,7 +61,7 @@ std::vector<std::size_t> parse_hidden(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     using namespace neuro;
 
     const common::Cli cli(argc, argv);
@@ -171,4 +172,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "neurod: fatal: %s\n", e.what());
         return 1;
     }
+} catch (const std::invalid_argument& e) {
+    // A malformed numeric flag: common::Cli's message names it.
+    std::fprintf(stderr, "neurod: %s\n", e.what());
+    return 2;
 }
